@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -37,7 +36,6 @@ namespace {
 
 struct TaskSample
 {
-    std::string label;
     double macs = 0.0;     ///< dense MACs (old claim key)
     double estimate = 0.0; ///< estimateSimCost sum (new claim key)
     double ms = 0.0;       ///< measured serial task time
@@ -144,7 +142,6 @@ main(int argc, char **argv)
             Rng layer_rng = rng.fork();
             const LayerSpec &layer = model.layers[l];
             TaskSample t;
-            t.label = model.name + "/" + std::to_string(l);
             t.macs = (double)layer.macsPerSample() *
                      (double)model.batch;
             CellSparsity sp =
@@ -253,95 +250,5 @@ main(int argc, char **argv)
                 "charging synthesis to the first task of each key "
                 "does not regress the makespan\n", kVariants);
     ts.print();
-
-    // Fission scenario: replay the estimate-key claim loop with
-    // intra-layer task fission (runGrid's policy mirrored: an op past
-    // mean estimate x 4 splits into up to `workers` pieces, capped by
-    // its cost ratio).  Synthesis happens before the split, so only a
-    // task's first piece carries its synthesis time.  Replayed on the
-    // measured fig13 grid and on a giant-layer-dominated variant (the
-    // costliest task scaled 10x — the tail a claim order alone cannot
-    // shrink, only decomposition can).
-    auto fissionPieces = [](const std::vector<TaskSample> &grid,
-                            int max_parts, double mult) {
-        double mean = 0.0;
-        for (const TaskSample &t : grid)
-            mean += t.estimate;
-        mean /= (double)grid.size();
-        const double threshold = mean * mult;
-        std::vector<TaskSample> pieces;
-        for (const TaskSample &t : grid) {
-            int k = 1;
-            if (threshold > 0.0 && t.estimate > threshold)
-                k = (int)std::min(
-                    (double)max_parts,
-                    std::ceil(t.estimate / threshold));
-            double sim_ms = t.ms - t.ms_synth;
-            for (int p = 0; p < k; ++p) {
-                TaskSample piece;
-                piece.ms = sim_ms / k + (p == 0 ? t.ms_synth : 0.0);
-                piece.estimate = t.estimate / k;
-                pieces.push_back(piece);
-            }
-        }
-        return pieces;
-    };
-
-    // The giant variant scales the costliest task's *simulation*
-    // share 40x — a giant layer (think an unsampled FC or a huge
-    // batch) whose window walk alone outweighs the rest of the grid's
-    // tail.  Synthesis stays put: it is paid once, amortized by the
-    // SynthCache, and fission cannot split it; the tail fission
-    // exists to kill is the simulation walk.
-    std::vector<TaskSample> giant = tasks;
-    {
-        size_t top = 0;
-        for (size_t i = 1; i < giant.size(); ++i)
-            if (giant[i].ms - giant[i].ms_synth >
-                giant[top].ms - giant[top].ms_synth)
-                top = i;
-        TaskSample &t = giant[top];
-        t.ms = t.ms_synth + (t.ms - t.ms_synth) * 40.0;
-        t.estimate = t.est_synth + (t.estimate - t.est_synth) * 40.0;
-        t.macs = t.macs * 40.0;
-        std::printf("[fission-giant] %s sim=%.1f ms synth=%.1f ms "
-                    "after 40x scale\n",
-                    t.label.c_str(), t.ms - t.ms_synth, t.ms_synth);
-    }
-
-    Table tfis;
-    tfis.header({"grid", "workers", "unfissioned ms", "fissioned ms",
-                 "ratio"});
-    struct FissionGrid
-    {
-        const char *name;
-        const std::vector<TaskSample> *grid;
-    };
-    for (const FissionGrid &g :
-         {FissionGrid{"fig13", &tasks}, FissionGrid{"giant", &giant}}) {
-        auto unfissioned_order = orderBy(
-            *g.grid, [](const TaskSample &t) { return t.estimate; });
-        for (int workers : {2, 4, 8, 16}) {
-            double u = makespan(*g.grid, unfissioned_order, workers);
-            auto pieces = fissionPieces(*g.grid, workers, 4.0);
-            auto order = orderBy(pieces, [](const TaskSample &t) {
-                return t.estimate;
-            });
-            double f = makespan(pieces, order, workers);
-            char ratio[32];
-            std::snprintf(ratio, sizeof ratio, "%.3fx", u / f);
-            tfis.row({g.name, std::to_string(workers), fmtDouble(u, 1),
-                      fmtDouble(f, 1), ratio});
-            // Parseable line for CI assertions (`ratio=` stays the
-            // final field so awk '{print $NF}' anchors).
-            std::printf("[fission] grid=%s workers=%d unfissioned=%.1f "
-                        "fissioned=%.1f ratio=%.3f\n",
-                        g.name, workers, u, f, u / f);
-        }
-    }
-    std::printf("[fission-note] mean-estimate x4 threshold, pieces "
-                "capped at the worker count; ratios > 1 mean fission "
-                "shrinks the makespan the claim order alone cannot\n");
-    tfis.print();
     return 0;
 }

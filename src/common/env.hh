@@ -5,8 +5,8 @@
  * @file
  * Validated environment-variable parsing.
  *
- * Every TD_* execution knob (TD_THREADS, TD_FISSION,
- * TD_SYNTH_CACHE_BYTES, TD_CACHE, ...) resolves through these helpers
+ * Every TD_* execution knob (TD_THREADS, TD_SYNTH_CACHE_BYTES,
+ * TD_CACHE, ...) resolves through these helpers
  * instead of ad-hoc strtol calls scattered across subsystems, so all
  * knobs share one contract:
  *
@@ -37,8 +37,8 @@ namespace env {
 long intKnob(const char *name, long min, long max, long fallback);
 
 /**
- * Floating-point knob in [@p min, @p max] (e.g. TD_FISSION's cost
- * multiplier).  Same contract as intKnob.
+ * Floating-point knob in [@p min, @p max].  Same contract as
+ * intKnob.
  */
 double doubleKnob(const char *name, double min, double max,
                   double fallback);

@@ -20,11 +20,11 @@
  * only to their own index's slot, and any order-sensitive reduction
  * happens after parallelFor() returns.
  *
- * Jobs nest: a body may itself call parallelFor() (the engine's
- * intra-layer task fission submits per-op subtask ranges from inside
- * layer tasks).  The nested call publishes a second job to the same
- * pool — idle workers help with it — while the submitting thread
- * claims from its own range until exhausted, so a nested call never
+ * Jobs nest: a body may itself call parallelFor(), e.g. a task that
+ * splits its own work into subranges.  The nested call publishes a
+ * second job to the same pool — idle workers help with it — while
+ * the submitting thread claims from its own range until exhausted,
+ * so a nested call never
  * deadlocks waiting for executors and never oversubscribes: only
  * threads with nothing else to do pick a nested job up, and the
  * caller itself always drives its range to completion.

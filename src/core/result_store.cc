@@ -92,8 +92,8 @@ ResultStore::insert(const TaskKey &key, const OpCellResult &result,
     w.u64(key.value);
     result.serialize(w);
     if (!writeFileBytes(entryPath(dir, key), w.data())) {
-        // A read-only or missing cache dir degrades to memory-only
-        // memoisation; correctness never depends on the disk layer.
+        // A read-only cache dir degrades to memory-only memoisation;
+        // correctness never depends on the disk layer.
         TD_WARN("cannot write result cache entry '%s'",
                 entryPath(dir, key).c_str());
     }
@@ -245,9 +245,19 @@ ResultStore::prune(const std::string &dir, uint64_t max_bytes)
 std::string
 ResultStore::resolveDir(const std::string &configured)
 {
-    if (!configured.empty())
-        return configured;
-    return env::stringKnob("TD_CACHE");
+    const std::string dir =
+        configured.empty() ? env::stringKnob("TD_CACHE") : configured;
+    if (dir.empty())
+        return dir;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        TD_WARN("cannot create result cache directory '%s' (%s); "
+                "caching in memory only", dir.c_str(),
+                ec.message().c_str());
+        return "";
+    }
+    return dir;
 }
 
 } // namespace tensordash

@@ -161,6 +161,9 @@ class ResultStore
     /**
      * Cache directory a run should use: @p configured when non-empty,
      * else the TD_CACHE environment variable, else "" (memory only).
+     * A missing directory is created (parents included); if that
+     * fails, one warning names it and the run falls back to "" — a
+     * misconfigured path costs one line, not a warning per cell.
      */
     static std::string resolveDir(const std::string &configured);
 

@@ -214,20 +214,6 @@ struct RunConfig
      * threads/cache it is never part of a cell's TaskKey.
      */
     int64_t synth_cache_bytes = -1;
-
-    /**
-     * Intra-layer task fission threshold, as a multiplier over the
-     * grid's mean per-op exact-tier estimateSimCost: an op whose
-     * estimated cost exceeds mean x threshold is split into contiguous
-     * job ranges run as subtasks on the shared pool, shrinking the
-     * giant-layer tail that otherwise bounds the sweep makespan.
-     * 0 disables fission, positive sets the multiplier, negative (the
-     * default) resolves TD_FISSION else 4.0.  Purely an execution knob
-     * — fissioned and unfissioned runs are bit-identical and share
-     * cache entries, so like threads/cache it is never part of a
-     * cell's TaskKey.
-     */
-    double fission_threshold = -1.0;
 };
 
 /**
@@ -721,14 +707,6 @@ struct SweepResult
      * simulated == 0: it never touches the exact simulator. */
     size_t estimated = 0;
 
-    /** Intra-layer fission subtasks launched while simulating this
-     * sweep (0 when fission is disabled or nothing crossed the
-     * threshold).  Local execution bookkeeping like wall-clock, NOT a
-     * result: deliberately excluded from serialize()/deserialize() so
-     * the shard format — and therefore cache sharing with unfissioned
-     * runs — is unchanged; deserialized shards contribute 0. */
-    size_t fission_subtasks = 0;
-
     /** Variant-major grid:
      * results[(v * modelCount() + m) * pointCount() + p].  Populated
      * only when complete(). */
@@ -796,8 +774,9 @@ struct SweepResult
     /** Versioned binary serialization of the sweep (shard files). */
     std::vector<uint8_t> serialize() const;
 
-    /** Parse a serialize()d sweep; false on bad magic/version or a
-     * truncated or corrupt buffer. */
+    /** Parse a serialize()d sweep; false on bad magic/version, a
+     * truncated or corrupt buffer, an out-of-range enum byte (memory
+     * model, phase, op) or an invalid shard. */
     static bool deserialize(const std::vector<uint8_t> &bytes,
                             SweepResult *out);
 

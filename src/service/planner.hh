@@ -16,8 +16,9 @@
  * synthesize the tensors once per worker.  But a *giant* layer whose
  * estimated cost exceeds the per-shard target is split below task
  * grain — its op cells placed independently — trading duplicated
- * synthesis for a bounded shard makespan, exactly the intra-layer
- * fission trade-off one level up.
+ * synthesis for a bounded shard makespan.  This is the system's only
+ * giant-layer splitter; inside one process, costliest-first claiming
+ * is what keeps a skewed layer from tailing the pool.
  */
 
 #include <cstdint>

@@ -88,8 +88,11 @@ double
 betaExpect(double a, double b, F &&f)
 {
     constexpr int kN = 32;
-    double norm =
-        std::exp(std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b));
+    // lgamma_r, not std::lgamma: the latter also writes the global
+    // signgam, a data race when estimate-tier tasks run in parallel.
+    int sign = 0;
+    double norm = std::exp(::lgamma_r(a, &sign) + ::lgamma_r(b, &sign) -
+                           ::lgamma_r(a + b, &sign));
     double total = 0.0;
     double hi = std::pow(0.5, a);
     for (int i = 0; i < kN; ++i) {
@@ -732,16 +735,6 @@ OpEstimator::estimateSimCost(const AcceleratorConfig &config,
                              const LayerSpec &layer, int batch,
                              TrainOp op, const CellSparsity &sparsity)
 {
-    return estimateSimCostDetail(config, layer, batch, op, sparsity)
-        .cost;
-}
-
-OpEstimator::SimCostDetail
-OpEstimator::estimateSimCostDetail(const AcceleratorConfig &config,
-                                   const LayerSpec &layer, int batch,
-                                   TrainOp op,
-                                   const CellSparsity &sparsity)
-{
     OpGeom g = resolveOpGeom(config, layer, batch, op, sparsity);
     JobGrid jg = resolveJobGrid(config, g);
     const TileConfig &tile = config.tile;
@@ -764,11 +757,7 @@ OpEstimator::estimateSimCostDetail(const AcceleratorConfig &config,
         : effCurve(d_slot, 1.0 / (double)tile.depth,
                    curveParams(tile.interconnect));
     double schedule = 2.2 * sampled * steps * eff * mean_rows * lanes;
-
-    SimCostDetail detail;
-    detail.cost = gather + schedule;
-    detail.sampled_jobs = sampled;
-    return detail;
+    return gather + schedule;
 }
 
 } // namespace tensordash

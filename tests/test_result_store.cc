@@ -407,7 +407,10 @@ TEST(ResultStoreTest, CacheOffNeverConsultsTheStore)
 
 TEST(ResultStoreTest, DiskCacheServesAFreshProcessWorthOfRuns)
 {
-    const std::string dir = freshCacheDir("td_store_disk");
+    // A cache dir that does not exist yet is created on first use,
+    // parents included.
+    const std::string root = freshCacheDir("td_store_disk");
+    const std::string dir = root + "/nested/sub";
     ResultStore::shared().clearMemo();
     RunConfig cfg = storeConfig(3003);
     cfg.cache_dir = dir;
@@ -428,6 +431,11 @@ TEST(ResultStoreTest, DiskCacheServesAFreshProcessWorthOfRuns)
     EXPECT_EQ(warm.simulated, 0u);
     EXPECT_EQ(warm.cache_hits, warm.cellCount());
     EXPECT_EQ(contentBytes(cold), contentBytes(warm));
+
+    // A path that cannot become a directory (its parent is a file)
+    // resolves to memory-only instead of failing every insert.
+    ASSERT_TRUE(writeFileBytes(root + "/file", {'x'}));
+    EXPECT_EQ(ResultStore::resolveDir(root + "/file/sub"), "");
     ResultStore::shared().clearMemo();
 }
 
@@ -451,6 +459,21 @@ TEST(ResultStoreTest, CorruptDiskEntryIsAMissNotAnError)
     ResultStore::shared().clearMemo();
     SweepResult warm = ModelRunner(cfg).runMany(models);
     EXPECT_EQ(warm.simulated, 1u); // only the corrupt cell re-ran
+    EXPECT_EQ(warm.cache_hits, warm.cellCount() - 1);
+    EXPECT_EQ(contentBytes(cold), contentBytes(warm));
+
+    // A well-formed entry whose op byte names no TrainOp (byte 16,
+    // right after the magic/version/key header) is corrupt too.
+    victim = std::filesystem::directory_iterator(dir)->path();
+    std::vector<uint8_t> entry;
+    ASSERT_TRUE(readFileBytes(victim.string(), &entry));
+    ASSERT_GT(entry.size(), 16u);
+    entry[16] = 0xff;
+    ASSERT_TRUE(writeFileBytes(victim.string(), entry));
+
+    ResultStore::shared().clearMemo();
+    warm = ModelRunner(cfg).runMany(models);
+    EXPECT_EQ(warm.simulated, 1u); // only the bad-op cell re-ran
     EXPECT_EQ(warm.cache_hits, warm.cellCount() - 1);
     EXPECT_EQ(contentBytes(cold), contentBytes(warm));
     ResultStore::shared().clearMemo();
@@ -814,6 +837,31 @@ TEST(ShardedSweep, DeserializeRejectsCorruptBuffers)
     EXPECT_FALSE(SweepResult::deserialize(bad, &out));
 
     EXPECT_FALSE(SweepResult::deserialize({}, &out));
+
+    // Header layout up to the shard fields: magic, version and
+    // fingerprint (16 bytes), memory model (16), variant count, the
+    // one variant's empty label, its memory model (25) and phase,
+    // model count, "tiny" with its layer count, point count and the
+    // one point, then shard index (55) and shard count (59).
+    const size_t kMemoryModel = 16, kVariantMemoryModel = 25,
+                 kShardIndex = 55, kShardCount = 59;
+    auto u32At = [&](size_t at) {
+        return std::vector<uint8_t>(bytes.begin() + at,
+                                    bytes.begin() + at + 4);
+    };
+    ASSERT_EQ(u32At(kShardIndex), (std::vector<uint8_t>{0, 0, 0, 0}));
+    ASSERT_EQ(u32At(kShardCount), (std::vector<uint8_t>{1, 0, 0, 0}));
+    for (size_t at : {kMemoryModel, kVariantMemoryModel}) {
+        bad = bytes;
+        bad[at] = 2; // one past MemoryModel::Pipelined
+        EXPECT_FALSE(SweepResult::deserialize(bad, &out)) << at;
+    }
+    bad = bytes;
+    bad[kShardCount] = 0; // shard 0 of 0
+    EXPECT_FALSE(SweepResult::deserialize(bad, &out));
+    bad = bytes;
+    bad[kShardIndex] = 1; // shard 1 of 1
+    EXPECT_FALSE(SweepResult::deserialize(bad, &out));
 }
 
 TEST(ShardedSweep, DeserializeRejectsHugeDeclaredGrids)
