@@ -37,13 +37,6 @@ namespace env {
 long intKnob(const char *name, long min, long max, long fallback);
 
 /**
- * Floating-point knob in [@p min, @p max].  Same contract as
- * intKnob.
- */
-double doubleKnob(const char *name, double min, double max,
-                  double fallback);
-
-/**
  * Non-negative byte-count knob (e.g. TD_SYNTH_CACHE_BYTES).  Same
  * contract as intKnob with an implicit [0, UINT64_MAX] range.
  */

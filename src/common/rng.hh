@@ -51,28 +51,21 @@ class Rng
     bool bernoulli(float p) { return uniform() < p; }
 
     /**
-     * Beta(a, b) sample via two gamma draws.  Used to model clustered
-     * per-channel density distributions.  Double-precision gammas keep
-     * the mean accurate for the very small shape parameters strongly
-     * clustered profiles use.
+     * @return one raw 64-bit engine output, e.g. the key of a
+     * CounterRng.  mt19937_64's output sequence is fixed by the C++
+     * standard; the std::*_distribution algorithms behind the other
+     * draws are not.
      */
-    float
-    beta(float a, float b)
-    {
-        std::gamma_distribution<double> ga((double)a, 1.0);
-        std::gamma_distribution<double> gb((double)b, 1.0);
-        double x = ga(engine_);
-        double y = gb(engine_);
-        if (x + y <= 0.0)
-            return 0.5f;
-        return (float)(x / (x + y));
-    }
+    uint64_t key() { return engine_(); }
 
     /** Split off an independently seeded child stream. */
     Rng
     fork()
     {
-        return Rng(((uint64_t)engine_() << 32) ^ engine_());
+        // Two statements: operands of one expression are unsequenced.
+        uint64_t hi = engine_();
+        uint64_t lo = engine_();
+        return Rng((hi << 32) ^ lo);
     }
 
     /** Access the raw engine, e.g. for std::shuffle. */

@@ -435,9 +435,15 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
                                                    model->batch);
                     double cost = synth_cost;
                     for (TrainOp op : ops) {
-                        double op_cost = OpEstimator::estimateSimCost(
-                            accel_cfg, model->layers[l],
-                            model->batch, op, sp);
+                        // An estimate cell costs one closed-form
+                        // evaluation whatever its layer, about as much
+                        // as pricing its simulation would: it gets a
+                        // unit cost instead.
+                        double op_cost = estimate
+                            ? 1.0
+                            : OpEstimator::estimateSimCost(
+                                  accel_cfg, model->layers[l],
+                                  model->batch, op, sp);
                         e.cell_costs.push_back(op_cost);
                         cost += op_cost;
                     }

@@ -108,8 +108,13 @@ namespace tensordash {
  * planner splits giant layers below task grain and reassembles them
  * at merge.  Serialized slots carry the mask followed by only the
  * masked cells.
+ *
+ * v6: the byte layout is unchanged, but synthesis draws from the
+ * counter-based generator (ModelZoo::synthesize) and the job sampler's
+ * offset from CounterRng, so every cell's value moved; the bump keeps
+ * v5 results out of v6 caches.
  */
-inline constexpr uint32_t kResultFormatVersion = 5;
+inline constexpr uint32_t kResultFormatVersion = 6;
 
 /**
  * Result fidelity tier of a run.
@@ -225,8 +230,15 @@ struct RunConfig
  * training progress, the synthesis seed, the layer's position in the
  * serial Rng fork order, which training op, the sweep's synthesis
  * contract (salt + write-back estimate switch) and the result format
- * version.  Equal keys mean bit-identical results on any platform; any
- * input change yields a new key.
+ * version.  Any input change yields a new key.
+ *
+ * Equal keys mean bit-identical results within what CI proves: at any
+ * thread count, shard split and cache state, and across -O0 and
+ * -O3 -march=native builds on one machine.  Synthesis draws are
+ * in-tree integer hashing (CounterRng).  The Beta sampler and the
+ * estimator still call libm (log, pow, cos, lgamma_r), whose last bits
+ * can vary across libm builds and CPU dispatch, so results across
+ * platforms are not promised.
  *
  * The workload phase is intentionally absent: a layer's Forward op is
  * the identical computation whether it runs inside a training or an
@@ -382,7 +394,8 @@ struct GridCellInfo
      * across workers pays synthesis once per worker instead. */
     uint64_t synth_key = 0;
 
-    /** Closed-form estimated simulation cost of this op cell. */
+    /** Closed-form estimated simulation cost of this op cell; 1 for
+     * an estimate-tier cell, which never simulates. */
     double est_cost = 0.0;
 
     /** Synthesis volume charged to this cell — the first cell of the

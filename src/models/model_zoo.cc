@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/counter_rng.hh"
 #include "common/logging.hh"
 #include "sparsity/generator.hh"
 
@@ -452,17 +453,31 @@ ModelZoo::synthesize(const ModelProfile &model, const LayerSpec &layer,
         Tensor(model.batch, layer.out_c, layer.outHw(), layer.outHw()),
         layer.spec()};
 
-    t.acts.fillNormal(rng, 0.0f, 1.0f);
-    t.weights.fillNormal(rng, 0.0f, 0.5f);
-    t.grads.fillNormal(rng, 0.0f, 0.1f);
-
+    // Only occupancy reaches the simulator (the runner lowers without
+    // values), so nonzero elements hold a constant, except that pruned
+    // weights hold uniform ranks in (0, 1]: i.i.d. like the |N(0, s)|
+    // magnitudes a trained layer prunes by, so each slice's pruned set
+    // is distributed the same.  One draw from the layer's stream keys
+    // everything; tensors take children 0 (acts), 1 (weights) and
+    // 2 (grads) of it.
+    const CounterRng layer_gen(rng.key());
+    t.acts.fill(1.0f);
     ClusterParams act_params{act_s, model.sparsity.cluster_strength};
-    applyClusteredSparsity(t.acts, act_params, rng);
+    applyClusteredSparsity(t.acts, act_params, layer_gen.child(0));
+    t.grads.fill(1.0f);
     ClusterParams grad_params{grad_s, model.sparsity.cluster_strength};
-    applyClusteredSparsity(t.grads, grad_params, rng);
+    applyClusteredSparsity(t.grads, grad_params, layer_gen.child(2));
     if (weight_s > 0.0) {
+        const CounterRng weight_gen = layer_gen.child(1);
+        const CounterRng ranks = weight_gen.child(0);
+        float *w = t.weights.data();
+        for (size_t i = 0; i < t.weights.size(); ++i)
+            w[i] = (float)((ranks.at(i) >> 40) + 1) * 0x1p-24f;
         applyClusteredPruning(t.weights, weight_s,
-                              model.sparsity.cluster_strength, rng);
+                              model.sparsity.cluster_strength,
+                              weight_gen.child(1));
+    } else {
+        t.weights.fill(1.0f);
     }
     return t;
 }

@@ -162,7 +162,10 @@ class ModelZoo
      * @param layer    which layer
      * @param progress training progress in [0, 1] (0.5 = calibration
      *                 reference point)
-     * @param rng      randomness source
+     * @param rng      the layer's stream; exactly one draw
+     *                 (Rng::key()) keys a CounterRng from which every
+     *                 element is a pure function of (key, tensor,
+     *                 element)
      */
     static LayerTensors synthesize(const ModelProfile &model,
                                    const LayerSpec &layer,

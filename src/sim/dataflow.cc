@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "common/counter_rng.hh"
 #include "common/logging.hh"
 
 namespace tensordash {
@@ -110,8 +111,8 @@ lowerGeneric(const DataflowConfig &cfg, TrainOp op, const SideSpec &b,
         max_jobs = std::min(max_jobs, lowered.total_jobs);
     }
 
-    // Stratified deterministic sampling over the job grid.
-    Rng rng(cfg.seed * 0x9e3779b97f4a7c15ull + (uint64_t)op * 131);
+    // Stratified deterministic sampling over the job grid; the
+    // stratum offset is a pure function of (seed, op).
     std::vector<uint64_t> picks;
     picks.reserve(max_jobs);
     if (max_jobs == lowered.total_jobs) {
@@ -119,7 +120,8 @@ lowerGeneric(const DataflowConfig &cfg, TrainOp op, const SideSpec &b,
             picks.push_back(j);
     } else {
         double stride = (double)lowered.total_jobs / (double)max_jobs;
-        double offset = rng.uniform() * stride;
+        double offset =
+            CounterRng(cfg.seed).child((uint64_t)op).uniform() * stride;
         uint64_t prev = lowered.total_jobs;
         for (uint64_t k = 0; k < max_jobs; ++k) {
             auto j = (uint64_t)(offset + (double)k * stride);

@@ -184,7 +184,7 @@ class Dataflow
      * these gather operand rows directly instead of routing through
      * the degenerate 1x1-conv index math.  Operands use the 4-D tensor
      * convention with h = w = 1: A (N, C, 1, 1), W (F, C, 1, 1),
-     * GO (N, F, 1, 1).  Job grids, gather order and the sampling Rng
+     * GO (N, F, 1, 1).  Job grids, gather order and the job sampler
      * match the conv lowerings exactly on these shapes, so the
      * resulting streams are bit-identical to the historical 1x1-conv
      * path (enforced by the FC parity tests).

@@ -80,18 +80,6 @@ struct TileStats
     uint64_t b_rows_fetched = 0;
     uint64_t a_rows_fetched = 0;
 
-    void
-    merge(const TileStats &o)
-    {
-        cycles += o.cycles;
-        dense_cycles += o.dense_cycles;
-        mult_ops += o.mult_ops;
-        idle_mult_slots += o.idle_mult_slots;
-        stall_cycles += o.stall_cycles;
-        b_rows_fetched += o.b_rows_fetched;
-        a_rows_fetched += o.a_rows_fetched;
-    }
-
     double
     speedup() const
     {

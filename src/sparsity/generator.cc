@@ -17,7 +17,7 @@ applyBernoulliSparsity(Tensor &tensor, double sparsity, Rng &rng)
 
 void
 applyClusteredSparsity(Tensor &tensor, const ClusterParams &params,
-                       Rng &rng)
+                       CounterRng gen)
 {
     TD_ASSERT(params.sparsity >= 0.0 && params.sparsity <= 1.0,
               "sparsity %f out of range", params.sparsity);
@@ -35,19 +35,29 @@ applyClusteredSparsity(Tensor &tensor, const ClusterParams &params,
     double k = 80.0 * std::pow(0.01, params.strength);
     k = std::max(k, 0.8);
     const Shape &s = tensor.shape();
-    // Raw walk over each contiguous (n, c) slice with a branchless
-    // select; the draw order (one beta per map, one uniform per
-    // element in h-major order) must match the indexed form
-    // bit-for-bit — results are content-addressed on it.
+    // Map m's density comes from stream (maps, m) and element i's
+    // uniform is draw i of the element stream, compared as 32-bit
+    // fixed point: u < density  <=>  (draw >> 32) < density * 2^32.
+    const CounterRng maps = gen.child(0);
+    const CounterRng elems = gen.child(1);
     size_t per_map = (size_t)s.h * s.w;
     float *base = tensor.data();
     for (size_t m = 0; m < (size_t)s.n * s.c; ++m) {
-        float map_density = rng.beta((float)(density * k),
-                                     (float)((1.0 - density) * k));
+        double map_density = maps.child(m).beta(density * k,
+                                                (1.0 - density) * k);
+        auto threshold = (uint64_t)(map_density * 0x1p32);
         float *p = base + m * per_map;
+        uint64_t first = m * per_map;
         for (size_t i = 0; i < per_map; ++i)
-            p[i] = rng.bernoulli(map_density) ? p[i] : 0.0f;
+            p[i] = (elems.at(first + i) >> 32) < threshold ? p[i] : 0.0f;
     }
+}
+
+void
+applyClusteredSparsity(Tensor &tensor, const ClusterParams &params,
+                       Rng &rng)
+{
+    applyClusteredSparsity(tensor, params, CounterRng(rng.key()));
 }
 
 void
@@ -90,7 +100,7 @@ applyMagnitudePruning(Tensor &weights, double sparsity)
 
 void
 applyClusteredPruning(Tensor &weights, double sparsity, double strength,
-                      Rng &rng)
+                      CounterRng gen)
 {
     TD_ASSERT(sparsity >= 0.0 && sparsity <= 1.0,
               "sparsity %f out of range", sparsity);
@@ -102,12 +112,16 @@ applyClusteredPruning(Tensor &weights, double sparsity, double strength,
     // Two-level structure: important filters keep more weights, and
     // within the tensor some input channels stay better connected than
     // others.  Both axes matter: filters drive row imbalance in the
-    // forward mapping, channels in the backward-data mapping.
+    // forward mapping, channels in the backward-data mapping.  Channel
+    // c's keep ratio comes from stream (chans, c), filter f's from
+    // (filters, f).
+    const CounterRng chans = gen.child(0);
+    const CounterRng filters = gen.child(1);
     std::vector<double> chan_mult(s.c);
     double chan_mean = 0.0;
     for (int c = 0; c < s.c; ++c) {
-        chan_mult[c] = 0.25 + rng.beta((float)(keep_mean * k),
-                                       (float)((1.0 - keep_mean) * k)) /
+        chan_mult[c] = 0.25 + chans.child(c).beta(keep_mean * k,
+                                                  (1.0 - keep_mean) * k) /
                                   std::max(keep_mean, 1e-6);
         chan_mean += chan_mult[c];
     }
@@ -147,8 +161,8 @@ applyClusteredPruning(Tensor &weights, double sparsity, double strength,
     };
 
     for (int f = 0; f < s.n; ++f) {
-        double keep_f = rng.beta((float)(keep_mean * k),
-                                 (float)((1.0 - keep_mean) * k));
+        double keep_f = filters.child(f).beta(keep_mean * k,
+                                              (1.0 - keep_mean) * k);
         // Never prune a filter completely; dead filters would be
         // removed by the training method itself.
         keep_f = std::clamp(keep_f, 0.02, 1.0);
@@ -162,6 +176,14 @@ applyClusteredPruning(Tensor &weights, double sparsity, double strength,
             pruneSlice(base, prune_count);
         }
     }
+}
+
+void
+applyClusteredPruning(Tensor &weights, double sparsity, double strength,
+                      Rng &rng)
+{
+    applyClusteredPruning(weights, sparsity, strength,
+                          CounterRng(rng.key()));
 }
 
 std::vector<double>

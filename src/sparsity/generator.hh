@@ -14,8 +14,14 @@
  * per-map densities are, then elements are kept i.i.d. at that density.
  * The Bernoulli generator is the unclustered control (paper Fig. 20
  * uses it for the random-sparsity sweep).
+ *
+ * The clustered generators draw from a CounterRng: a map's density, a
+ * filter's or channel's keep ratio and an element's fate are each a
+ * pure function of (key, index).  Their Rng& forms take that key as
+ * one raw draw (Rng::key()).
  */
 
+#include "common/counter_rng.hh"
 #include "common/rng.hh"
 #include "tensor/tensor.hh"
 
@@ -41,8 +47,13 @@ struct ClusterParams
 /**
  * Zero out elements with per-(sample, channel) map densities drawn from
  * Beta(mean * k, (1 - mean) * k), where the concentration k shrinks as
- * the clustering strength grows.
+ * the clustering strength grows.  An element survives when its uniform
+ * draw falls below its map's density; survivors keep their values.
  */
+void applyClusteredSparsity(Tensor &tensor, const ClusterParams &params,
+                            CounterRng gen);
+
+/** applyClusteredSparsity keyed by one draw from @p rng. */
 void applyClusteredSparsity(Tensor &tensor, const ClusterParams &params,
                             Rng &rng);
 
@@ -59,8 +70,14 @@ void applyMagnitudePruning(Tensor &weights, double sparsity);
  * redistribute surviving weights toward important filters, which is
  * what creates the inter-row work imbalance the paper observes for the
  * pruned ResNets; @p strength controls how uneven the redistribution
- * is.
+ * is.  Within a (filter, channel) slice the smallest-|w| elements go,
+ * so i.i.d. magnitudes (or uniform ranks) give a uniformly random
+ * pruned set of the slice's target size.
  */
+void applyClusteredPruning(Tensor &weights, double sparsity,
+                           double strength, CounterRng gen);
+
+/** applyClusteredPruning keyed by one draw from @p rng. */
 void applyClusteredPruning(Tensor &weights, double sparsity,
                            double strength, Rng &rng);
 

@@ -1,6 +1,9 @@
 #include "tensor/tensor.hh"
 
+#include <sys/mman.h>
+
 #include <cmath>
+#include <new>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -15,6 +18,31 @@ Shape::str() const
     os << "(" << n << ", " << c << ", " << h << ", " << w << ")";
     return os.str();
 }
+
+template <typename T>
+void *
+TensorAllocator<T>::allocateBytes(size_t bytes)
+{
+    if (bytes < kMapBytes)
+        return ::operator new(bytes);
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+    return p;
+}
+
+template <typename T>
+void
+TensorAllocator<T>::releaseBytes(void *p, size_t bytes)
+{
+    if (bytes < kMapBytes)
+        ::operator delete(p);
+    else
+        ::munmap(p, bytes);
+}
+
+template struct TensorAllocator<float>;
 
 Tensor::Tensor(Shape shape) : shape_(shape), data_(shape.size(), 0.0f)
 {

@@ -35,6 +35,41 @@ struct Shape
     std::string str() const;
 };
 
+/**
+ * Storage allocator of Tensor.  Buffers of at least kMapBytes are
+ * mapped from the kernel and unmapped on release.  Through malloc,
+ * glibc stops mapping such blocks once one has been freed and serves
+ * them from per-thread arenas instead; a process that synthesizes and
+ * drops hundreds of MB of tensors per sweep then keeps that arena
+ * memory resident, fragmented, and its RSS creeps up with every sweep.
+ */
+template <typename T>
+struct TensorAllocator
+{
+    using value_type = T;
+
+    static constexpr size_t kMapBytes = 128 * 1024;
+
+    TensorAllocator() = default;
+    template <typename U>
+    TensorAllocator(const TensorAllocator<U> &) {}
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(allocateBytes(n * sizeof(T)));
+    }
+
+    void deallocate(T *p, size_t n) { releaseBytes(p, n * sizeof(T)); }
+
+    template <typename U>
+    bool operator==(const TensorAllocator<U> &) const { return true; }
+
+  private:
+    static void *allocateBytes(size_t bytes);
+    static void releaseBytes(void *p, size_t bytes);
+};
+
 /** Dense float tensor with NCHW indexing. */
 class Tensor
 {
@@ -106,7 +141,7 @@ class Tensor
     }
 
     Shape shape_;
-    std::vector<float> data_;
+    std::vector<float, TensorAllocator<float>> data_;
 };
 
 } // namespace tensordash

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/counter_rng.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -112,16 +114,6 @@ TEST(Rng, BernoulliMatchesProbability)
     EXPECT_NEAR(hits / (double)trials, 0.3, 0.02);
 }
 
-TEST(Rng, BetaStaysInUnitInterval)
-{
-    Rng rng(5);
-    for (int i = 0; i < 1000; ++i) {
-        float v = rng.beta(0.5f, 0.5f);
-        EXPECT_GE(v, 0.0f);
-        EXPECT_LE(v, 1.0f);
-    }
-}
-
 TEST(Rng, ForkIndependent)
 {
     Rng parent(42);
@@ -133,6 +125,61 @@ TEST(Rng, ForkIndependent)
     for (int i = 0; i < 100; ++i)
         same += child.uniform() == parent.uniform();
     EXPECT_LT(same, 5);
+}
+
+TEST(CounterRng, KnownAnswers)
+{
+    // Key 0 is SplitMix64 seeded with 0: its published first outputs.
+    CounterRng zero(0);
+    EXPECT_EQ(zero.at(0), 0xe220a8397b1dcdafull);
+    EXPECT_EQ(zero.at(1), 0x6e789e6aa1b965f4ull);
+    EXPECT_EQ(zero.at(2), 0x06c45d188009454full);
+
+    const CounterRng g(7);
+    EXPECT_EQ(g.at(0), 0x63cbe1e459320dd7ull);
+    EXPECT_EQ(g.at(1ull << 40), 0x9db20060659ab50cull);
+    EXPECT_EQ(g.child(3).at(0), 0x027175e2d366e35aull);
+    // The cursor walks the same counters: uniform() is draw 0's top
+    // 53 bits.
+    EXPECT_EQ(CounterRng(7).uniform(),
+              (double)(g.at(0) >> 11) * 0x1p-53);
+    // mt19937_64's output sequence is fixed by the standard.
+    EXPECT_EQ(Rng(7).key(), 0xc11f6531eb66d9a7ull);
+}
+
+TEST(CounterRng, BetaMatchesMomentsOverZooShapes)
+{
+    // The concentrations (k) and densities the clustered generators
+    // use: Beta(d k, (1 - d) k) shapes span ~0.004 to ~80.
+    const int n = 100000;
+    uint64_t shape = 0;
+    for (double k : {0.8, 3.2, 25.0, 80.0}) {
+        for (double d : {0.005, 0.1, 0.5, 0.98}) {
+            const double a = d * k, b = (1.0 - d) * k;
+            const double var = a * b / ((a + b) * (a + b) * (a + b + 1));
+            const double kurt = 6.0 *
+                ((a - b) * (a - b) * (a + b + 1) - a * b * (a + b + 2)) /
+                (a * b * (a + b + 2) * (a + b + 3));
+            const double mu4 = (kurt + 3.0) * var * var;
+            // Independent draws per shape.
+            const CounterRng draws = CounterRng(0x5eed).child(shape++);
+            double sum = 0.0, sum2 = 0.0;
+            for (int i = 0; i < n; ++i) {
+                double x = draws.child(i).beta(a, b);
+                ASSERT_GE(x, 0.0) << "a=" << a << " b=" << b;
+                ASSERT_LE(x, 1.0) << "a=" << a << " b=" << b;
+                sum += x;
+                sum2 += x * x;
+            }
+            double mean = sum / n;
+            double sample_var = sum2 / n - mean * mean;
+            EXPECT_NEAR(mean, d, 4.0 * std::sqrt(var / n))
+                << "a=" << a << " b=" << b;
+            EXPECT_NEAR(sample_var, var,
+                        4.0 * std::sqrt((mu4 - var * var) / n))
+                << "a=" << a << " b=" << b;
+        }
+    }
 }
 
 TEST(StatSet, CountersAccumulate)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the consolidated environment-knob parser: every TD_*
- * runtime knob resolves through env::intKnob/doubleKnob/byteKnob/
- * stringKnob, so this suite pins the shared contract once — unset
+ * runtime knob resolves through env::intKnob/byteKnob/stringKnob,
+ * so this suite pins the shared contract once — unset
  * falls back silently, a valid value in range wins, and garbage or
  * out-of-range input falls back loudly instead of being half-parsed.
  */
@@ -87,28 +87,6 @@ TEST(EnvInt, NegativeAllowedWhenInRange)
 {
     ScopedEnv e(kVar, "-5");
     EXPECT_EQ(env::intKnob(kVar, -10, 10, 0), -5);
-}
-
-TEST(EnvDouble, UnsetFallsBack)
-{
-    ScopedEnv e(kVar, nullptr);
-    EXPECT_DOUBLE_EQ(env::doubleKnob(kVar, 0.0, 10.0, 4.0), 4.0);
-}
-
-TEST(EnvDouble, ValidValueWins)
-{
-    ScopedEnv e(kVar, "2.5");
-    EXPECT_DOUBLE_EQ(env::doubleKnob(kVar, 0.0, 10.0, 4.0), 2.5);
-}
-
-TEST(EnvDouble, GarbageAndRangeFallBack)
-{
-    const char *bad[] = {"", "abc", "2.5x", "nan", "inf", "-1", "11"};
-    for (const char *v : bad) {
-        ScopedEnv e(kVar, v);
-        EXPECT_DOUBLE_EQ(env::doubleKnob(kVar, 0.0, 10.0, 4.0), 4.0)
-            << "value '" << v << "' should fall back";
-    }
 }
 
 TEST(EnvByte, UnsetFallsBack)

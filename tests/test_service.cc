@@ -365,6 +365,21 @@ TEST(PlanSweep, EnumeratesEveryCellInOrder)
     }
 }
 
+TEST(PlanSweep, EstimateCellsCarryUnitCost)
+{
+    // An estimate cell's work is one closed-form evaluation whatever
+    // its layer, so planning prices it at 1 instead of spending an
+    // estimateSimCost call on a simulation that never runs.
+    RunConfig cfg = svcConfig(9103);
+    cfg.fidelity = Fidelity::Estimate;
+    std::vector<GridCellInfo> plan = ModelRunner(cfg).planSweep(tinySpec());
+    ASSERT_FALSE(plan.empty());
+    for (const GridCellInfo &c : plan) {
+        EXPECT_EQ(c.est_cost, 1.0);
+        EXPECT_EQ(c.synth_cost, 0.0);
+    }
+}
+
 TEST(RunSweepCells, InterleavedShardsMergeToIdentity)
 {
     ModelRunner runner(svcConfig(9102));

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "common/hashing.hh"
 #include "common/rng.hh"
 #include "models/model_zoo.hh"
 #include "sparsity/generator.hh"
@@ -211,6 +214,36 @@ TEST(ModelZoo, SynthesizedTensorsMatchCalibration)
     EXPECT_NEAR(t.acts.sparsity(), m.sparsity.act, 0.12);
     EXPECT_NEAR(t.grads.sparsity(), m.sparsity.grad, 0.12);
     EXPECT_DOUBLE_EQ(t.weights.sparsity(), 0.0);
+}
+
+TEST(ModelZoo, SynthesisKnownAnswer)
+{
+    // Occupancy and ranks of one small pruned layer, pinned bit for
+    // bit: drift in the counter generator's integer path (or in how
+    // synthesize keys its tensors) must fail here, not as a silently
+    // different golden.
+    ModelProfile m = ModelZoo::byName("resnet50_SM90");
+    LayerSpec layer;
+    layer.name = "kat";
+    layer.in_c = 16;
+    layer.in_hw = 8;
+    layer.out_c = 24;
+    layer.kernel = 3;
+    layer.pad = 1;
+    Rng rng(11);
+    LayerTensors t = ModelZoo::synthesize(m, layer, 0.5, rng);
+    auto fingerprint = [](const Tensor &x) {
+        FnvHasher h;
+        for (size_t i = 0; i < x.size(); ++i)
+            h.u64(std::bit_cast<uint32_t>(x[i]));
+        return h.value();
+    };
+    EXPECT_EQ(t.acts.nonzeros(), 562u);
+    EXPECT_EQ(t.weights.nonzeros(), 212u);
+    EXPECT_EQ(t.grads.nonzeros(), 1648u);
+    EXPECT_EQ(fingerprint(t.acts), 0x6fc41ae70b9ccfe5ull);
+    EXPECT_EQ(fingerprint(t.weights), 0xff269ed6da9af186ull);
+    EXPECT_EQ(fingerprint(t.grads), 0x76d890bf7efb1065ull);
 }
 
 TEST(ModelZoo, FirstConvSeesDenseInput)
