@@ -93,9 +93,18 @@ ResultStore::insert(const TaskKey &key, const OpCellResult &result,
     result.serialize(w);
     if (!writeFileBytes(entryPath(dir, key), w.data())) {
         // A read-only cache dir degrades to memory-only memoisation;
-        // correctness never depends on the disk layer.
-        TD_WARN("cannot write result cache entry '%s'",
-                entryPath(dir, key).c_str());
+        // correctness never depends on the disk layer.  Every later
+        // insert into the dir would fail alike, so it warns once.
+        bool first;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            first = unwritable_dirs_.insert(dir).second;
+        }
+        if (first) {
+            TD_WARN("cannot write result cache entry '%s'; results "
+                    "not written to '%s' stay in memory only",
+                    entryPath(dir, key).c_str(), dir.c_str());
+        }
     }
 }
 

@@ -33,6 +33,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/runner.hh"
@@ -138,7 +139,11 @@ class ResultStore
     bool lookup(const TaskKey &key, OpCellResult *out,
                 const std::string &dir = "");
 
-    /** Memoise @p result and, when @p dir is non-empty, persist it. */
+    /**
+     * Memoise @p result and, when @p dir is non-empty, persist it.  A
+     * directory that rejects a write costs one warning per store; its
+     * results stay memoised in memory.
+     */
     void insert(const TaskKey &key, const OpCellResult &result,
                 const std::string &dir = "");
 
@@ -195,6 +200,8 @@ class ResultStore
     mutable std::mutex mu_;
     std::unordered_map<uint64_t, OpCellResult> memo_;
     CacheCounters counters_;
+    /** Cache dirs that have rejected a write (warned about once). */
+    std::unordered_set<std::string> unwritable_dirs_;
 };
 
 } // namespace tensordash

@@ -1,7 +1,7 @@
 #include "sim/dataflow.hh"
 
 #include <algorithm>
-#include <functional>
+#include <cstddef>
 
 #include "common/counter_rng.hh"
 #include "common/logging.hh"
@@ -45,48 +45,149 @@ phaseOps(WorkloadPhase phase)
 
 namespace {
 
-/** One side of the output grid: how many outputs, how to gather. */
-struct SideSpec
+/**
+ * One side of the output grid: `count` outputs, each reducing over a
+ * fixed sequence of runs of `len` elements.  A run reads
+ * data[base + i * stride] for i inside its window [lo, hi) and holds
+ * structural zeros (padding, stride-dilation holes) outside it.
+ * `runs(o, emit)` calls emit(base, lo, hi) for each of output o's runs
+ * in reduction order, so index math is paid per run, not per operand.
+ */
+template <typename Runs>
+struct Gather
 {
+    const float *data;
     int count;
-    /** Value of output @p o at flattened reduction index @p r. */
-    std::function<float(int o, int r)> gather;
+    int len;
+    ptrdiff_t stride;
+    Runs runs;
 };
 
-/** Build the operand stream for one output of one side. */
-BlockStream
-buildStream(const SideSpec &side, int out_id, int reduction_len,
-            int lanes, int steps, bool with_values,
-            std::vector<float> &row_scratch)
+/** A matrix side: output o's whole reduction is one run at o * pitch. */
+auto
+matrixGather(const Tensor &t, int count, int len, ptrdiff_t pitch,
+             ptrdiff_t stride)
 {
-    BlockStream stream(lanes, with_values);
-    for (int step = 0; step < steps; ++step) {
-        if (with_values) {
-            for (int l = 0; l < lanes; ++l) {
-                int idx = step * lanes + l;
-                row_scratch[l] = idx < reduction_len
-                    ? side.gather(out_id, idx) : 0.0f;
-            }
-            stream.appendValueRow(row_scratch.data());
-        } else {
-            uint32_t mask = 0;
-            for (int l = 0; l < lanes; ++l) {
-                int idx = step * lanes + l;
-                if (idx < reduction_len &&
-                    side.gather(out_id, idx) != 0.0f) {
-                    mask |= 1u << l;
-                }
-            }
-            stream.appendMaskRow(mask);
+    return Gather{t.data(), count, len, stride,
+                  [pitch, len](int o, auto &&emit) {
+                      emit(o * pitch, 0, len);
+                  }};
+}
+
+/** The i in [0, len) with 0 <= first + i * stride < extent. */
+struct Window
+{
+    int lo;
+    int hi;
+};
+
+Window
+clipWindow(int first, int stride, int extent, int len)
+{
+    int lo = first >= 0 ? 0 : (stride - 1 - first) / stride;
+    int hi = first >= extent ? 0 : (extent - first + stride - 1) / stride;
+    hi = std::min(hi, len);
+    return {std::min(lo, hi), hi};
+}
+
+/** Packs one output's gathered reduction into lane-wide stream rows. */
+class RowWriter
+{
+  public:
+    explicit RowWriter(BlockStream &stream)
+        : stream_(stream), lanes_(stream.lanes()),
+          values_(stream.hasValues())
+    {}
+
+    /** Append @p n structural zeros. */
+    void
+    zeros(int n)
+    {
+        lane_ += n;
+        while (lane_ >= lanes_) {
+            flush();
+            lane_ -= lanes_;
         }
     }
+
+    /** Append the @p n operands data[at + i * stride]. */
+    void
+    read(const float *data, ptrdiff_t at, ptrdiff_t stride, int n)
+    {
+        while (n > 0) {
+            int take = std::min(n, lanes_ - lane_);
+            if (values_) {
+                for (int i = 0; i < take; ++i, at += stride)
+                    row_[lane_ + i] = data[at];
+            } else {
+                uint32_t mask = mask_;
+                for (int i = 0; i < take; ++i, at += stride)
+                    mask |= (uint32_t)(data[at] != 0.0f) << (lane_ + i);
+                mask_ = mask;
+            }
+            n -= take;
+            lane_ += take;
+            if (lane_ == lanes_) {
+                flush();
+                lane_ = 0;
+            }
+        }
+    }
+
+    /** Zero-pad and append a partly filled last row. */
+    void
+    finish()
+    {
+        if (lane_ > 0)
+            flush();
+    }
+
+  private:
+    void
+    flush()
+    {
+        if (values_) {
+            stream_.appendValueRow(row_);
+            std::fill(row_, row_ + lanes_, 0.0f);
+        } else {
+            stream_.appendMaskRow(mask_);
+            mask_ = 0;
+        }
+    }
+
+    BlockStream &stream_;
+    int lanes_;
+    bool values_;
+    int lane_ = 0;
+    uint32_t mask_ = 0;
+    float row_[32] = {};
+};
+
+/** Build the operand stream of output @p out_id of side @p g. */
+template <typename Runs>
+BlockStream
+gatherStream(const Gather<Runs> &g, int out_id, const DataflowConfig &cfg,
+             int steps)
+{
+    BlockStream stream(cfg.lanes, cfg.with_values);
+    stream.reserve(steps);
+    RowWriter row(stream);
+    g.runs(out_id, [&](ptrdiff_t base, int lo, int hi) {
+        row.zeros(lo);
+        row.read(g.data, base + lo * g.stride, g.stride, hi - lo);
+        row.zeros(g.len - hi);
+    });
+    row.finish();
+    TD_ASSERT(stream.rows() == steps, "gather runs cover %d of %d rows",
+              stream.rows(), steps);
     return stream;
 }
 
 /** Shared lowering core: grid partitioning, sampling, stream building. */
+template <typename BRuns, typename ARuns>
 LoweredOp
-lowerGeneric(const DataflowConfig &cfg, TrainOp op, const SideSpec &b,
-             const SideSpec &a, int reduction_len, const Shape &out_shape)
+lowerGeneric(const DataflowConfig &cfg, TrainOp op, const Gather<BRuns> &b,
+             const Gather<ARuns> &a, int reduction_len, const Shape &out_shape)
 {
     TD_ASSERT(reduction_len > 0, "empty reduction dimension");
     TD_ASSERT(b.count > 0 && a.count > 0, "empty output grid");
@@ -137,38 +238,32 @@ lowerGeneric(const DataflowConfig &cfg, TrainOp op, const SideSpec &b,
     double weight = (double)lowered.total_jobs /
                     (double)lowered.sampled_jobs;
 
-    std::vector<float> row_scratch(cfg.lanes, 0.0f);
+    lowered.jobs.reserve(picks.size());
+    lowered.job_b_ids.reserve(picks.size());
+    lowered.job_a_ids.reserve(picks.size());
     for (uint64_t j : picks) {
-        uint64_t jb = j / jobs_a;
-        uint64_t ja = j % jobs_a;
-        TileJob job;
+        int b0 = (int)(j / jobs_a * cfg.rows);
+        int a0 = (int)(j % jobs_a * cfg.cols);
+        int nb = std::min(cfg.rows, b.count - b0);
+        int na = std::min(cfg.cols, a.count - a0);
+        TileJob &job = lowered.jobs.emplace_back();
         job.weight = weight;
-        std::vector<int> b_ids, a_ids;
-        for (int r = 0; r < cfg.rows; ++r) {
-            int id = (int)(jb * cfg.rows) + r;
-            if (id >= b.count)
-                break;
+        job.b.reserve(nb);
+        job.a.reserve(na);
+        std::vector<int> &b_ids = lowered.job_b_ids.emplace_back();
+        std::vector<int> &a_ids = lowered.job_a_ids.emplace_back();
+        b_ids.reserve(nb);
+        a_ids.reserve(na);
+        for (int id = b0; id < b0 + nb; ++id) {
             b_ids.push_back(id);
-            job.b.push_back(buildStream(b, id, reduction_len, cfg.lanes,
-                                        lowered.steps, cfg.with_values,
-                                        row_scratch));
+            job.b.push_back(gatherStream(b, id, cfg, lowered.steps));
+            lowered.b_nonzero_slots += job.b.back().nonzeros();
+            lowered.b_total_slots += job.b.back().slots();
         }
-        for (int c = 0; c < cfg.cols; ++c) {
-            int id = (int)(ja * cfg.cols) + c;
-            if (id >= a.count)
-                break;
+        for (int id = a0; id < a0 + na; ++id) {
             a_ids.push_back(id);
-            job.a.push_back(buildStream(a, id, reduction_len, cfg.lanes,
-                                        lowered.steps, cfg.with_values,
-                                        row_scratch));
+            job.a.push_back(gatherStream(a, id, cfg, lowered.steps));
         }
-        for (const auto &s : job.b) {
-            lowered.b_nonzero_slots += s.nonzeros();
-            lowered.b_total_slots += s.slots();
-        }
-        lowered.jobs.push_back(std::move(job));
-        lowered.job_b_ids.push_back(std::move(b_ids));
-        lowered.job_a_ids.push_back(std::move(a_ids));
     }
     return lowered;
 }
@@ -185,6 +280,7 @@ Dataflow::lowerForward(const Tensor &acts, const Tensor &weights,
     int oh = spec.outDim(as.h, ws.h);
     int ow = spec.outDim(as.w, ws.w);
     int chans = as.c;
+    int taps = ws.h * ws.w;
 
     if (side == FwdSide::Auto) {
         side = weights.sparsity() > acts.sparsity()
@@ -192,38 +288,39 @@ Dataflow::lowerForward(const Tensor &acts, const Tensor &weights,
     }
 
     // Reduction order: (ky, kx) outer, channel inner, so each lane row
-    // holds 16 consecutive channels (the paper's 16-value blocks).
-    SideSpec b{
-        as.n * oh * ow,
-        [&acts, spec, oh, ow, chans,
-         ws](int o, int r) -> float {
-            int c = r % chans;
-            int k = r / chans;
-            int ky = k / ws.w;
-            int kx = k % ws.w;
-            int ox = o % ow;
-            int oy = (o / ow) % oh;
-            int n = o / (oh * ow);
-            int iy = oy * spec.stride + ky - spec.pad;
-            int ix = ox * spec.stride + kx - spec.pad;
-            const Shape &s = acts.shape();
-            if (iy < 0 || iy >= s.h || ix < 0 || ix >= s.w)
-                return 0.0f;
-            return acts.at(n, c, iy, ix);
-        }};
-    SideSpec a{
-        ws.n,
-        [&weights, chans, ws](int f, int r) -> float {
-            int c = r % chans;
-            int k = r / chans;
-            return weights.at(f, c, k / ws.w, k % ws.w);
-        }};
+    // holds 16 consecutive channels (the paper's 16-value blocks).  A
+    // window's tap is one run down the channels of one input pixel, or
+    // all zeros when the tap falls in the padding.
+    ptrdiff_t plane = (ptrdiff_t)as.h * as.w;
+    Gather b{acts.data(), as.n * oh * ow, chans, plane,
+             [=](int o, auto &&emit) {
+                 int ox = o % ow;
+                 int oy = (o / ow) % oh;
+                 int n = o / (oh * ow);
+                 ptrdiff_t image = (ptrdiff_t)n * chans * plane;
+                 for (int ky = 0; ky < ws.h; ++ky) {
+                     int iy = oy * spec.stride + ky - spec.pad;
+                     for (int kx = 0; kx < ws.w; ++kx) {
+                         int ix = ox * spec.stride + kx - spec.pad;
+                         bool inside = iy >= 0 && iy < as.h && ix >= 0 &&
+                                       ix < as.w;
+                         emit(image + (ptrdiff_t)iy * as.w + ix, 0,
+                              inside ? chans : 0);
+                     }
+                 }
+             }};
+    // Filter f's run for tap k reads W[f, c, k] down the channels.
+    Gather a{weights.data(), ws.n, chans, (ptrdiff_t)taps,
+             [=](int f, auto &&emit) {
+                 for (int k = 0; k < taps; ++k)
+                     emit((ptrdiff_t)f * chans * taps + k, 0, chans);
+             }};
 
     LoweredOp lowered = side == FwdSide::Activations
-        ? lowerGeneric(config_, TrainOp::Forward, b, a,
-                       chans * ws.h * ws.w, Shape{as.n, ws.n, oh, ow})
-        : lowerGeneric(config_, TrainOp::Forward, a, b,
-                       chans * ws.h * ws.w, Shape{as.n, ws.n, oh, ow});
+        ? lowerGeneric(config_, TrainOp::Forward, b, a, chans * taps,
+                       Shape{as.n, ws.n, oh, ow})
+        : lowerGeneric(config_, TrainOp::Forward, a, b, chans * taps,
+                       Shape{as.n, ws.n, oh, ow});
     lowered.b_is_default_side = side == FwdSide::Activations;
     return lowered;
 }
@@ -236,7 +333,14 @@ Dataflow::lowerBackwardData(const Tensor &out_grads, const Tensor &weights,
     const Shape &gs = out_grads.shape();
     const Shape &ws = weights.shape();
     TD_ASSERT(gs.c == ws.n, "filter mismatch in backward-data lowering");
+    TD_ASSERT(input_shape.n == gs.n && input_shape.c == ws.c &&
+                  gs.h == spec.outDim(input_shape.h, ws.h) &&
+                  gs.w == spec.outDim(input_shape.w, ws.w),
+              "backward-data input %s does not match gradients %s and "
+              "weights %s", input_shape.str().c_str(), gs.str().c_str(),
+              ws.str().c_str());
     int filters = ws.n;
+    int taps = ws.h * ws.w;
 
     if (side == BwdDataSide::Auto) {
         side = weights.sparsity() > out_grads.sparsity()
@@ -244,48 +348,48 @@ Dataflow::lowerBackwardData(const Tensor &out_grads, const Tensor &weights,
     }
 
     // Reduction order: (ky, kx) outer, filter inner.  The B side gathers
-    // the stride-dilated gradient windows of Eq. 6; out-of-window and
-    // dilation holes appear as structural zeros.
-    SideSpec b{
-        input_shape.n * input_shape.h * input_shape.w,
-        [&out_grads, spec, input_shape, filters,
-         ws](int o, int r) -> float {
-            int f = r % filters;
-            int k = r / filters;
-            int ky = k / ws.w;
-            int kx = k % ws.w;
-            int ix = o % input_shape.w;
-            int iy = (o / input_shape.w) % input_shape.h;
-            int n = o / (input_shape.h * input_shape.w);
-            int num_y = iy + spec.pad - ky;
-            int num_x = ix + spec.pad - kx;
-            if (num_y < 0 || num_x < 0 || num_y % spec.stride ||
-                num_x % spec.stride) {
-                return 0.0f;
-            }
-            int oy = num_y / spec.stride;
-            int ox = num_x / spec.stride;
-            const Shape &s = out_grads.shape();
-            if (oy >= s.h || ox >= s.w)
-                return 0.0f;
-            return out_grads.at(n, f, oy, ox);
-        }};
-    // The A side is the reconstructed filter bank: channel c's stream
-    // holds W[f, c, ky, kx] (the 180-degree rotation is implicit in the
-    // matching gather order on the B side).
-    SideSpec a{
-        input_shape.c,
-        [&weights, filters, ws](int c, int r) -> float {
-            int f = r % filters;
-            int k = r / filters;
-            return weights.at(f, c, k / ws.w, k % ws.w);
-        }};
+    // the stride-dilated gradient windows of Eq. 6: a tap is one run
+    // down the filters of one gradient pixel, or all structural zeros
+    // when it lands in a dilation hole or outside the window.
+    ptrdiff_t plane = (ptrdiff_t)gs.h * gs.w;
+    int in_h = input_shape.h;
+    int in_w = input_shape.w;
+    Gather b{out_grads.data(), input_shape.n * in_h * in_w, filters, plane,
+             [=](int o, auto &&emit) {
+                 int ix = o % in_w;
+                 int iy = (o / in_w) % in_h;
+                 int n = o / (in_h * in_w);
+                 ptrdiff_t image = (ptrdiff_t)n * filters * plane;
+                 for (int ky = 0; ky < ws.h; ++ky) {
+                     int num_y = iy + spec.pad - ky;
+                     int oy = num_y / spec.stride;
+                     bool row_in = num_y >= 0 &&
+                                   num_y % spec.stride == 0 && oy < gs.h;
+                     for (int kx = 0; kx < ws.w; ++kx) {
+                         int num_x = ix + spec.pad - kx;
+                         int ox = num_x / spec.stride;
+                         bool inside = row_in && num_x >= 0 &&
+                                       num_x % spec.stride == 0 &&
+                                       ox < gs.w;
+                         emit(image + (ptrdiff_t)oy * gs.w + ox, 0,
+                              inside ? filters : 0);
+                     }
+                 }
+             }};
+    // The A side is the reconstructed filter bank: channel c's run for
+    // tap k reads W[f, c, k] across the filters (the 180-degree rotation
+    // is implicit in the matching gather order on the B side).
+    Gather a{weights.data(), input_shape.c, filters,
+             (ptrdiff_t)ws.c * taps, [=](int c, auto &&emit) {
+                 for (int k = 0; k < taps; ++k)
+                     emit((ptrdiff_t)c * taps + k, 0, filters);
+             }};
 
     LoweredOp lowered = side == BwdDataSide::Gradients
         ? lowerGeneric(config_, TrainOp::BackwardData, b, a,
-                       filters * ws.h * ws.w, input_shape)
+                       filters * taps, input_shape)
         : lowerGeneric(config_, TrainOp::BackwardData, a, b,
-                       filters * ws.h * ws.w, input_shape);
+                       filters * taps, input_shape);
     lowered.b_is_default_side = side == BwdDataSide::Gradients;
     return lowered;
 }
@@ -305,34 +409,39 @@ Dataflow::lowerBackwardWeights(const Tensor &out_grads, const Tensor &acts,
             ? WgSide::Gradients : WgSide::Activations;
     }
 
-    // Reduction order: (n, oy) outer, ox inner.
-    SideSpec grad_side{
-        gs.c,
-        [&out_grads, gs](int f, int r) -> float {
-            int ox = r % gs.w;
-            int oy = (r / gs.w) % gs.h;
-            int n = r / (gs.h * gs.w);
-            return out_grads.at(n, f, oy, ox);
-        }};
-    SideSpec act_side{
-        as.c * kernel_h * kernel_w,
-        [&acts, &gs, spec, as, kernel_h, kernel_w](int t,
-                                                   int r) -> float {
-            int kx = t % kernel_w;
-            int ky = (t / kernel_w) % kernel_h;
-            int c = t / (kernel_h * kernel_w);
-            int ox = r % gs.w;
-            int oy = (r / gs.w) % gs.h;
-            int n = r / (gs.h * gs.w);
-            int iy = oy * spec.stride + ky - spec.pad;
-            int ix = ox * spec.stride + kx - spec.pad;
-            if (iy < 0 || iy >= as.h || ix < 0 || ix >= as.w)
-                return 0.0f;
-            return acts.at(n, c, iy, ix);
-        }};
+    // Reduction order: (n, oy) outer, ox inner.  Filter f's gradient
+    // map is one contiguous run per sample.
+    int map = gs.h * gs.w;
+    Gather grad_side{out_grads.data(), gs.c, map, 1,
+                     [=](int f, auto &&emit) {
+                         for (int n = 0; n < gs.n; ++n)
+                             emit(((ptrdiff_t)n * gs.c + f) * map, 0, map);
+                     }};
+    // Tap (c, ky, kx) reads one strided run along each output row
+    // (n, oy); the window clips the columns that fall in the padding.
+    ptrdiff_t plane = (ptrdiff_t)as.h * as.w;
+    Gather act_side{acts.data(), as.c * kernel_h * kernel_w, gs.w,
+                    (ptrdiff_t)spec.stride, [=](int t, auto &&emit) {
+                        int kx = t % kernel_w;
+                        int ky = (t / kernel_w) % kernel_h;
+                        int c = t / (kernel_h * kernel_w);
+                        int x0 = kx - spec.pad;
+                        Window cols = clipWindow(x0, spec.stride, as.w,
+                                                 gs.w);
+                        for (int n = 0; n < gs.n; ++n) {
+                            ptrdiff_t chan = ((ptrdiff_t)n * as.c + c) *
+                                             plane;
+                            for (int oy = 0; oy < gs.h; ++oy) {
+                                int iy = oy * spec.stride + ky - spec.pad;
+                                bool in = iy >= 0 && iy < as.h;
+                                emit(chan + (ptrdiff_t)iy * as.w + x0,
+                                     in ? cols.lo : 0, in ? cols.hi : 0);
+                            }
+                        }
+                    }};
 
     Shape out_shape{gs.c, as.c, kernel_h, kernel_w};
-    int reduction = gs.n * gs.h * gs.w;
+    int reduction = gs.n * map;
     LoweredOp lowered = side == WgSide::Gradients
         ? lowerGeneric(config_, TrainOp::BackwardWeights, grad_side,
                        act_side, reduction, out_shape)
@@ -372,14 +481,8 @@ Dataflow::lowerFcForward(const Tensor &acts, const Tensor &weights,
 
     // Rows of A (one per sample) against rows of W (one per output
     // feature), reduced over in_c in lane-wide blocks.
-    SideSpec b{
-        as.n,
-        [&acts](int o, int r) -> float { return acts.at(o, r, 0, 0); }};
-    SideSpec a{
-        ws.n,
-        [&weights](int f, int r) -> float {
-            return weights.at(f, r, 0, 0);
-        }};
+    auto b = matrixGather(acts, as.n, as.c, as.c, 1);
+    auto a = matrixGather(weights, ws.n, ws.c, ws.c, 1);
 
     LoweredOp lowered = side == FwdSide::Activations
         ? lowerGeneric(config_, TrainOp::Forward, b, a, as.c,
@@ -400,6 +503,10 @@ Dataflow::lowerFcBackwardData(const Tensor &out_grads,
     const Shape &ws = weights.shape();
     TD_ASSERT(gs.c == ws.n,
               "filter mismatch in fc backward-data lowering");
+    TD_ASSERT(input_shape.n == gs.n && input_shape.c == ws.c,
+              "fc backward-data input %s does not match gradients %s "
+              "and weights %s", input_shape.str().c_str(),
+              gs.str().c_str(), ws.str().c_str());
     assertMatmulShape(out_grads, "gradients");
     assertMatmulShape(weights, "weights");
 
@@ -410,16 +517,8 @@ Dataflow::lowerFcBackwardData(const Tensor &out_grads,
 
     // GA = GO x W: gradient rows against weight columns, reduced over
     // the out_c features.
-    SideSpec b{
-        input_shape.n,
-        [&out_grads](int o, int r) -> float {
-            return out_grads.at(o, r, 0, 0);
-        }};
-    SideSpec a{
-        input_shape.c,
-        [&weights](int c, int r) -> float {
-            return weights.at(r, c, 0, 0);
-        }};
+    auto b = matrixGather(out_grads, gs.n, gs.c, gs.c, 1);
+    auto a = matrixGather(weights, ws.c, ws.n, 1, ws.c);
 
     LoweredOp lowered = side == BwdDataSide::Gradients
         ? lowerGeneric(config_, TrainOp::BackwardData, b, a, ws.n,
@@ -448,14 +547,8 @@ Dataflow::lowerFcBackwardWeights(const Tensor &out_grads,
 
     // GW = GO^T x A: per-feature gradient columns against per-input
     // activation columns, reduced over the batch.
-    SideSpec grad_side{
-        gs.c,
-        [&out_grads](int f, int r) -> float {
-            return out_grads.at(r, f, 0, 0);
-        }};
-    SideSpec act_side{
-        as.c,
-        [&acts](int c, int r) -> float { return acts.at(r, c, 0, 0); }};
+    auto grad_side = matrixGather(out_grads, gs.c, gs.n, 1, gs.c);
+    auto act_side = matrixGather(acts, as.c, as.n, 1, as.c);
 
     Shape out_shape{gs.c, as.c, 1, 1};
     LoweredOp lowered = side == WgSide::Gradients

@@ -14,10 +14,10 @@
  * The estimator mirrors the exact pipeline piecewise:
  *
  *  - Lowering geometry (steps, jobs, sampling caps, partial edge
- *    jobs) is reproduced exactly from the Dataflow side specs, so
- *    baseline cycles and slot totals match the simulator to
- *    round-off: baseline cost is steps * total_jobs / tiles no matter
- *    what the tensors contain.
+ *    jobs) is reproduced exactly from the output counts and reduction
+ *    length Dataflow lowers each op with, so baseline cycles and slot
+ *    totals match the simulator to round-off: baseline cost is
+ *    steps * total_jobs / tiles no matter what the tensors contain.
  *  - Padding-induced structural zeros are counted exactly with
  *    separable per-dimension loops (mean and variance across
  *    streams).

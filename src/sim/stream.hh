@@ -37,6 +37,15 @@ class BlockStream
     int rows() const { return (int)nz_.size(); }
     bool hasValues() const { return with_values_; }
 
+    /** Reserve room for @p rows rows (and their values in value mode). */
+    void
+    reserve(int rows)
+    {
+        nz_.reserve(rows);
+        if (with_values_)
+            values_.reserve((size_t)rows * lanes_);
+    }
+
     /** Append a row given its nonzero mask (performance-only mode). */
     void
     appendMaskRow(uint32_t nzmask)

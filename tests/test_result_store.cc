@@ -479,6 +479,35 @@ TEST(ResultStoreTest, CorruptDiskEntryIsAMissNotAnError)
     ResultStore::shared().clearMemo();
 }
 
+TEST(ResultStoreTest, UnwritableDirWarnsOncePerDirectory)
+{
+    // A resolved dir removed afterwards rejects every write, the way a
+    // read-only one does (permission bits would not stop root).
+    const std::string dir =
+        ResultStore::resolveDir(freshCacheDir("td_store_gone"));
+    ASSERT_FALSE(dir.empty());
+    std::filesystem::remove_all(dir);
+
+    ResultStore store;
+    const uint64_t cells = 40;
+    testing::internal::CaptureStdout();
+    for (uint64_t i = 1; i <= cells; ++i)
+        store.insert(TaskKey{i}, OpCellResult{}, dir);
+    const std::string out = testing::internal::GetCapturedStdout();
+
+    size_t warnings = 0;
+    for (size_t at = out.find("cannot write"); at != std::string::npos;
+         at = out.find("cannot write", at + 1)) {
+        ++warnings;
+    }
+    EXPECT_EQ(warnings, 1u) << out;
+    EXPECT_FALSE(std::filesystem::exists(dir));
+    // Every cell stays memoised in memory.
+    EXPECT_EQ(store.memoSize(), cells);
+    OpCellResult got;
+    EXPECT_TRUE(store.lookup(TaskKey{cells}, &got, dir));
+}
+
 TEST(ResultStoreTest, ListDirReportsEveryEntryWithValidHeaders)
 {
     const std::string dir = freshCacheDir("td_store_ls");
