@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace tensordash {
@@ -14,6 +15,10 @@ readFileBytes(const std::string &path, std::vector<uint8_t> *out)
     if (!f)
         return false;
     out->clear();
+    // Size the buffer once: a cache pack is read whole on every scan.
+    struct stat st;
+    if (::fstat(::fileno(f), &st) == 0 && st.st_size > 0)
+        out->reserve((size_t)st.st_size);
     uint8_t chunk[64 * 1024];
     size_t n;
     while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0)

@@ -661,6 +661,10 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
             }
         },
         exec.threads);
+    // One pack per sweep, written whether the claim loop finished or
+    // was cancelled: a drained sweep keeps every cell it simulated.
+    if (store)
+        store->flush();
     sweep.cache_hits = cache_hits.load();
     sweep.simulated = simulated.load();
     sweep.estimated = estimated.load();

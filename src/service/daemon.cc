@@ -563,8 +563,11 @@ runWorker(const WorkerOptions &opts)
 
     // Atomic (temp + rename) blob write: the daemon either sees the
     // whole shard — partial-on-cancel included — or nothing, never a
-    // torn file.  Cache entries the sweep inserted were written the
-    // same way, so a killed worker can not corrupt the shared dir.
+    // torn file.  The sweep's cells went to the shared cache dir the
+    // same way, as one pack flushed when its claim loop ended: a
+    // SIGTERM-cancelled sweep still flushed every finished cell, and
+    // a SIGKILLed worker loses its unflushed cells but never leaves a
+    // torn pack.
     if (!writeFileBytes(opts.out_path, sweep.serialize())) {
         TD_WARN("worker cannot write shard blob '%s'",
                 opts.out_path.c_str());

@@ -27,12 +27,13 @@
  * all.
  *
  * Shutdown (SIGINT/SIGTERM or requestStop()) drains: live workers
- * get SIGTERM, finish their in-flight layer tasks, flush partial
- * blobs atomically and exit; the daemon merges what arrived, reports
- * the interruption to the current client, fails queued jobs with an
- * Error frame, unlinks the socket and exits 0.  Because every cache
- * and blob write in the system is temp + rename, a killed daemon or
- * worker never leaves a torn file behind.
+ * get SIGTERM, finish their in-flight layer tasks, flush their cache
+ * pack and partial blobs atomically and exit; the daemon merges what
+ * arrived, reports the interruption to the current client, fails
+ * queued jobs with an Error frame, unlinks the socket and exits 0.
+ * Because every cache and blob write in the system is temp + rename,
+ * a killed daemon or worker never leaves a torn file behind (a
+ * SIGKILLed worker loses the cells it had not flushed yet).
  */
 
 #include <cstdint>

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -85,6 +88,21 @@ contentBytes(SweepResult s)
     s.cache_hits = 0;
     s.simulated = 0;
     return s.serialize();
+}
+
+/** Byte offset of a pack's first record payload: the 12-byte pack
+ * header (magic, version, count), then the record's key u64 and
+ * payload length u32. */
+constexpr size_t kFirstPayload = 24;
+
+/** Move @p path's mtime an hour back, so "oldest first" and "changed
+ * since the last listing" never hinge on one timestamp tick. */
+void
+ageByAnHour(const std::string &path)
+{
+    std::filesystem::last_write_time(
+        path,
+        std::filesystem::last_write_time(path) - std::chrono::hours(1));
 }
 
 /** Fresh (empty, created) temp directory for disk-cache tests. */
@@ -419,11 +437,21 @@ TEST(ResultStoreTest, DiskCacheServesAFreshProcessWorthOfRuns)
 
     SweepResult cold = ModelRunner(cfg).runMany(models);
     EXPECT_EQ(cold.simulated, cold.cellCount());
-    // One .tdlr entry per (layer, op) cell, not per task slot.
-    size_t entries = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-        entries += e.path().extension() == ".tdlr";
-    EXPECT_EQ(entries, cold.cellCount());
+    // One pack per sweep, holding a record per (layer, op) cell, and
+    // nothing else: no per-cell file, no leftover temp file.
+    std::vector<CacheEntryInfo> packs = ResultStore::listDir(dir);
+    ASSERT_EQ(packs.size(), 1u);
+    EXPECT_EQ(packs[0].state, CacheEntryState::Ok);
+    EXPECT_EQ(packs[0].cells, cold.cellCount());
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(readFileBytes(packs[0].path, &bytes));
+    EXPECT_EQ(ResultStore::decodePack(bytes).size(), cold.cellCount());
+    size_t files = 0;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(e.path().extension(), ".tdpk");
+        ++files;
+    }
+    EXPECT_EQ(files, 1u);
 
     // Clearing the memo simulates a fresh process sharing the dir.
     ResultStore::shared().clearMemo();
@@ -449,12 +477,18 @@ TEST(ResultStoreTest, CorruptDiskEntryIsAMissNotAnError)
 
     SweepResult cold = ModelRunner(cfg).runMany(models);
     ASSERT_EQ(cold.simulated, cold.cellCount());
+    std::vector<CacheEntryInfo> packs = ResultStore::listDir(dir);
+    ASSERT_EQ(packs.size(), 1u);
+    const std::string pack = packs[0].path;
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(readFileBytes(pack, &bytes));
+    ASSERT_GT(bytes.size(), kFirstPayload + 16);
 
-    // Truncate one entry and garbage another field of a second run.
-    auto it = std::filesystem::directory_iterator(dir);
-    std::filesystem::path victim = it->path();
-    std::vector<uint8_t> garbage = {'n', 'o', 'p', 'e'};
-    ASSERT_TRUE(writeFileBytes(victim.string(), garbage));
+    // Flip a byte inside the first record's payload: its checksum
+    // fails, and exactly that cell re-simulates.
+    std::vector<uint8_t> damaged = bytes;
+    damaged[kFirstPayload + 8] ^= 0x01;
+    ASSERT_TRUE(writeFileBytes(pack, damaged));
 
     ResultStore::shared().clearMemo();
     SweepResult warm = ModelRunner(cfg).runMany(models);
@@ -462,14 +496,22 @@ TEST(ResultStoreTest, CorruptDiskEntryIsAMissNotAnError)
     EXPECT_EQ(warm.cache_hits, warm.cellCount() - 1);
     EXPECT_EQ(contentBytes(cold), contentBytes(warm));
 
-    // A well-formed entry whose op byte names no TrainOp (byte 16,
-    // right after the magic/version/key header) is corrupt too.
-    victim = std::filesystem::directory_iterator(dir)->path();
-    std::vector<uint8_t> entry;
-    ASSERT_TRUE(readFileBytes(victim.string(), &entry));
-    ASSERT_GT(entry.size(), 16u);
-    entry[16] = 0xff;
-    ASSERT_TRUE(writeFileBytes(victim.string(), entry));
+    // A record whose checksum matches but whose op byte (the payload's
+    // first) names no TrainOp is rejected by deserialize: corrupt too.
+    std::vector<uint8_t> bad_op = bytes;
+    bad_op[kFirstPayload] = 0xff;
+    ByteReader len_field(bad_op.data() + kFirstPayload - 4, 4);
+    const size_t len = len_field.u32();
+    ASSERT_LE(kFirstPayload + len + 8, bad_op.size());
+    const uint64_t sum =
+        FnvHasher::hashBytes(bad_op.data() + 12, 12 + len);
+    for (int i = 0; i < 8; ++i)
+        bad_op[kFirstPayload + len + i] = (uint8_t)(sum >> (8 * i));
+    EXPECT_EQ(ResultStore::decodePack(bad_op).size(),
+              cold.cellCount() - 1);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    ASSERT_TRUE(writeFileBytes(pack, bad_op));
 
     ResultStore::shared().clearMemo();
     warm = ModelRunner(cfg).runMany(models);
@@ -491,8 +533,10 @@ TEST(ResultStoreTest, UnwritableDirWarnsOncePerDirectory)
     ResultStore store;
     const uint64_t cells = 40;
     testing::internal::CaptureStdout();
-    for (uint64_t i = 1; i <= cells; ++i)
+    for (uint64_t i = 1; i <= cells; ++i) {
         store.insert(TaskKey{i}, OpCellResult{}, dir);
+        EXPECT_FALSE(store.flush());
+    }
     const std::string out = testing::internal::GetCapturedStdout();
 
     size_t warnings = 0;
@@ -514,33 +558,55 @@ TEST(ResultStoreTest, ListDirReportsEveryEntryWithValidHeaders)
     ResultStore::shared().clearMemo();
     RunConfig cfg = storeConfig(4104);
     cfg.cache_dir = dir;
-    const std::vector<ModelProfile> models = {tinyModel()};
-    SweepResult cold = ModelRunner(cfg).runMany(models);
+    // Two sweeps, two packs: the second holds only the cells the
+    // first did not simulate.
+    SweepResult first = ModelRunner(cfg).runMany(
+        std::vector<ModelProfile>{tinyModel()});
+    SweepResult both = ModelRunner(cfg).runMany(
+        std::vector<ModelProfile>{tinyModel(), tinyModelB()});
+    ASSERT_EQ(both.simulated, both.cellCount() - first.cellCount());
 
     std::vector<CacheEntryInfo> entries = ResultStore::listDir(dir);
-    ASSERT_EQ(entries.size(), cold.cellCount());
+    ASSERT_EQ(entries.size(), 2u);
+    uint64_t cells = 0;
     for (const CacheEntryInfo &e : entries) {
-        EXPECT_TRUE(e.valid);
+        EXPECT_EQ(e.state, CacheEntryState::Ok);
         EXPECT_EQ(e.version, kResultFormatVersion);
         EXPECT_GT(e.bytes, 0u);
-        // The header key matches the hash-derived file name.
-        EXPECT_NE(e.path.find(FnvHasher::toHex(e.key)),
+        cells += e.cells;
+        // A pack is named by the hash of its bytes.
+        std::vector<uint8_t> bytes;
+        ASSERT_TRUE(readFileBytes(e.path, &bytes));
+        EXPECT_EQ(bytes.size(), e.bytes);
+        EXPECT_NE(e.path.find(FnvHasher::toHex(
+                      FnvHasher::hashBytes(bytes.data(), bytes.size()))),
                   std::string::npos);
     }
+    EXPECT_EQ(cells, both.cellCount());
     // Oldest first, ties broken by path: the order is deterministic.
     for (size_t i = 1; i < entries.size(); ++i)
         EXPECT_TRUE(entries[i - 1].mtime < entries[i].mtime ||
                     (entries[i - 1].mtime == entries[i].mtime &&
                      entries[i - 1].path < entries[i].path));
 
-    // A garbage file with the entry extension is visible as invalid.
-    ASSERT_TRUE(writeFileBytes(dir + "/junk.tdlr", {'x'}));
+    // A garbage file with the pack extension is visible as corrupt,
+    // and a per-cell file a pre-pack cache wrote as stale.
+    ASSERT_TRUE(writeFileBytes(dir + "/junk.tdpk", {'x'}));
+    ByteWriter legacy;
+    legacy.u32(0x524c4454); // per-cell entry magic "TDLR"
+    legacy.u32(kResultFormatVersion);
+    legacy.u64(0x1234);
+    ASSERT_TRUE(writeFileBytes(dir + "/0000000000001234.tdlr",
+                               legacy.data()));
     entries = ResultStore::listDir(dir);
-    ASSERT_EQ(entries.size(), cold.cellCount() + 1);
-    size_t invalid = 0;
-    for (const CacheEntryInfo &e : entries)
-        invalid += !e.valid;
-    EXPECT_EQ(invalid, 1u);
+    ASSERT_EQ(entries.size(), 4u);
+    size_t corrupt = 0, stale = 0;
+    for (const CacheEntryInfo &e : entries) {
+        corrupt += e.state == CacheEntryState::Corrupt;
+        stale += e.state == CacheEntryState::Stale;
+    }
+    EXPECT_EQ(corrupt, 1u);
+    EXPECT_EQ(stale, 1u);
 
     // A missing directory lists empty instead of erroring.
     EXPECT_TRUE(ResultStore::listDir(dir + "/nonexistent").empty());
@@ -555,34 +621,43 @@ TEST(ResultStoreTest, PruneBoundsTheDirectoryOldestFirst)
     cfg.cache_dir = dir;
     const std::vector<ModelProfile> models = {tinyModel(),
                                               tinyModelB()};
+    // Two packs, the older (tinyModel's cells) an hour older.
+    ModelRunner(cfg).runMany(std::vector<ModelProfile>{tinyModel()});
+    ASSERT_EQ(ResultStore::listDir(dir).size(), 1u);
+    ageByAnHour(ResultStore::listDir(dir)[0].path);
     SweepResult cold = ModelRunner(cfg).runMany(models);
 
     std::vector<CacheEntryInfo> before = ResultStore::listDir(dir);
+    ASSERT_EQ(before.size(), 2u);
+    ASSERT_LT(before[0].mtime, before[1].mtime);
     uint64_t total = 0;
     for (const CacheEntryInfo &e : before)
         total += e.bytes;
 
-    // Prune to roughly half: stats balance, the survivors are the
-    // newest entries, and the bound holds.
-    CachePruneStats stats = ResultStore::prune(dir, total / 2);
+    // Prune to the newest pack's size: stats balance, the survivor is
+    // the newest pack, and the bound holds.
+    const uint64_t bound = before.back().bytes;
+    CachePruneStats stats = ResultStore::prune(dir, bound);
     EXPECT_EQ(stats.scanned, before.size());
     EXPECT_EQ(stats.scanned_bytes, total);
     EXPECT_GT(stats.evicted, 0u);
     EXPECT_LT(stats.evicted, before.size());
-    EXPECT_LE(stats.remainingBytes(), total / 2);
+    EXPECT_LE(stats.remainingBytes(), bound);
     std::vector<CacheEntryInfo> after = ResultStore::listDir(dir);
     EXPECT_EQ(after.size(), before.size() - stats.evicted);
+    ASSERT_EQ(after.size(), 1u);
+    EXPECT_EQ(after[0].path, before.back().path);
     uint64_t remaining = 0;
     for (const CacheEntryInfo &e : after)
         remaining += e.bytes;
     EXPECT_EQ(remaining, stats.remainingBytes());
 
     // Eviction is safe: a fresh process re-simulates exactly the
-    // pruned cells and the output is bit-identical.
+    // pruned pack's cells and the output is bit-identical.
     ResultStore::shared().clearMemo();
     SweepResult warm = ModelRunner(cfg).runMany(models);
-    EXPECT_EQ(warm.simulated, stats.evicted);
-    EXPECT_EQ(warm.cache_hits, warm.cellCount() - stats.evicted);
+    EXPECT_EQ(warm.simulated, before[0].cells);
+    EXPECT_EQ(warm.cache_hits, warm.cellCount() - before[0].cells);
     EXPECT_EQ(contentBytes(cold), contentBytes(warm));
 
     // max_bytes 0 empties the directory.
@@ -674,19 +749,24 @@ TEST(ResultStoreTest, PruneStaleVersionsEvictsOnlyOrphanedEntries)
     cfg.cache_dir = dir;
     const std::vector<ModelProfile> models = {tinyModel()};
     SweepResult cold = ModelRunner(cfg).runMany(models);
-    const size_t live = cold.cellCount();
+    const size_t live = 1; // one pack per sweep
 
-    // Plant two entries a format bump orphaned (valid header, older
-    // version) and one corrupt file (not a result blob at all).
-    for (const char *name : {"/old_a.tdlr", "/old_b.tdlr"}) {
-        ByteWriter w;
-        w.u32(0x524c4454); // entry magic
-        w.u32(kResultFormatVersion - 1);
-        w.u64(0x1234);
-        w.str("payload from a previous format");
-        ASSERT_TRUE(writeFileBytes(dir + name, w.data()));
-    }
-    ASSERT_TRUE(writeFileBytes(dir + "/junk.tdlr", {'x'}));
+    // Plant two entries a format change orphaned — a pack of the
+    // previous format version and a per-cell file a pre-pack cache
+    // wrote, stale even at the current version — and one corrupt file
+    // (not a cache file at all).
+    ByteWriter old_pack;
+    old_pack.u32(0x4b504454); // pack magic "TDPK"
+    old_pack.u32(kResultFormatVersion - 1);
+    old_pack.u32(0);
+    ASSERT_TRUE(writeFileBytes(dir + "/old_a.tdpk", old_pack.data()));
+    ByteWriter per_cell;
+    per_cell.u32(0x524c4454); // per-cell entry magic "TDLR"
+    per_cell.u32(kResultFormatVersion);
+    per_cell.u64(0x1234);
+    per_cell.str("payload of a per-cell entry");
+    ASSERT_TRUE(writeFileBytes(dir + "/old_b.tdlr", per_cell.data()));
+    ASSERT_TRUE(writeFileBytes(dir + "/junk.tdpk", {'x'}));
     ASSERT_EQ(ResultStore::listDir(dir).size(), live + 3);
 
     // Dry run: the two stale entries are the only victims, and
@@ -700,8 +780,8 @@ TEST(ResultStoreTest, PruneStaleVersionsEvictsOnlyOrphanedEntries)
     EXPECT_EQ(stats.stale_evicted, 2u);
     EXPECT_EQ(ResultStore::listDir(dir).size(), live + 3);
 
-    // Real run: stale entries gone; live entries and the corrupt file
-    // (which may not be a result blob at all) are untouched.
+    // Real run: stale entries gone; the live pack and the corrupt
+    // file (which may not be a cache file at all) are untouched.
     opts.dry_run = false;
     stats = ResultStore::prune(dir, opts);
     EXPECT_EQ(stats.evicted, 2u);
@@ -709,7 +789,7 @@ TEST(ResultStoreTest, PruneStaleVersionsEvictsOnlyOrphanedEntries)
     std::vector<CacheEntryInfo> after = ResultStore::listDir(dir);
     ASSERT_EQ(after.size(), live + 1);
     for (const CacheEntryInfo &e : after)
-        EXPECT_TRUE(!e.valid || e.version == kResultFormatVersion);
+        EXPECT_NE(e.state, CacheEntryState::Stale);
 
     // The surviving live entries still serve a fresh process fully.
     ResultStore::shared().clearMemo();
@@ -717,6 +797,148 @@ TEST(ResultStoreTest, PruneStaleVersionsEvictsOnlyOrphanedEntries)
     EXPECT_EQ(warm.simulated, 0u);
     EXPECT_EQ(contentBytes(cold), contentBytes(warm));
     ResultStore::shared().clearMemo();
+}
+
+TEST(ResultStoreTest, PackWrittenAfterScanIsSeen)
+{
+    // Two stores stand for two processes sharing one dir.  B lists the
+    // dir on a miss; A then flushes a pack, and B's next miss must
+    // find it.  The dir's mtime is aged first, so A's write moves it
+    // even within one timestamp tick.
+    const std::string dir = freshCacheDir("td_store_visibility");
+    ageByAnHour(dir);
+    ResultStore a, b;
+    OpCellResult cell;
+    cell.op.td_cycles = 42.0;
+    OpCellResult got;
+    EXPECT_FALSE(b.lookup(TaskKey{7}, &got, dir));
+
+    a.insert(TaskKey{7}, cell, dir);
+    ASSERT_TRUE(a.flush());
+    ASSERT_TRUE(b.lookup(TaskKey{7}, &got, dir));
+    EXPECT_EQ(got.op.td_cycles, 42.0);
+    CacheCounters c = b.counters();
+    EXPECT_EQ(c.misses, 1u);
+    EXPECT_EQ(c.disk_hits, 1u);
+
+    // The record moved into B's memo: the repeat is a memo hit.
+    ASSERT_TRUE(b.lookup(TaskKey{7}, &got, dir));
+    EXPECT_EQ(b.counters().memo_hits, 1u);
+    EXPECT_EQ(b.counters().disk_hits, 1u);
+}
+
+TEST(ResultStoreTest, CancelledSweepPersistsFinishedCells)
+{
+    const std::string dir = freshCacheDir("td_store_cancel");
+    ResultStore::shared().clearMemo();
+    RunConfig cfg = storeConfig(4110);
+    cfg.cache_dir = dir;
+    cfg.threads = 1; // one task at a time: the cancel lands after one
+    SweepSpec spec;
+    spec.models = {tinyModel(), tinyModelB()};
+
+    // Cancel as the first layer task completes; the rest are skipped.
+    std::atomic<bool> cancel{false};
+    RunHooks hooks;
+    hooks.cancel = &cancel;
+    hooks.progress = [&](const SweepProgress &) { cancel = true; };
+    SweepResult partial = ModelRunner(cfg).runSweep(spec, {}, hooks);
+    ASSERT_FALSE(partial.complete());
+    ASSERT_GT(partial.simulated, 0u);
+    ASSERT_LT(partial.simulated, partial.cellCount());
+
+    // The drained sweep still flushed its finished cells as one pack.
+    std::vector<CacheEntryInfo> packs = ResultStore::listDir(dir);
+    ASSERT_EQ(packs.size(), 1u);
+    EXPECT_EQ(packs[0].cells, partial.simulated);
+
+    // A fresh process resumes: the finished cells hit, the rest
+    // simulate, and the result matches an uncached run bit for bit.
+    ResultStore::shared().clearMemo();
+    SweepResult resumed = ModelRunner(cfg).runSweep(spec);
+    EXPECT_EQ(resumed.cache_hits, partial.simulated);
+    EXPECT_EQ(resumed.simulated,
+              resumed.cellCount() - partial.simulated);
+    RunConfig uncached = cfg;
+    uncached.cache = false;
+    EXPECT_EQ(contentBytes(resumed),
+              contentBytes(ModelRunner(uncached).runSweep(spec)));
+    ResultStore::shared().clearMemo();
+}
+
+TEST(ResultStoreTest, PackMutationSweepNeverYieldsAChangedCell)
+{
+    // Three distinct cells, flushed as one pack.  The store writes
+    // records in key order, and so does the map.
+    const std::string dir = freshCacheDir("td_store_mutation");
+    ResultStore store;
+    std::map<uint64_t, std::vector<uint8_t>> payloads;
+    for (uint64_t i = 0; i < 3; ++i) {
+        OpCellResult c;
+        c.op.op = (TrainOp)i;
+        c.op.base_cycles = 1000.0 + (double)i;
+        c.op.td_cycles = 400.0 + (double)i;
+        c.op.memory_bound = i == 1;
+        c.op.mac_slots = 1e6 * (double)(i + 1);
+        c.energy_td.dram_j = 3.5 * (double)(i + 1);
+        const uint64_t key = 0x0123456789abcdefull * (i + 1);
+        ByteWriter w;
+        c.serialize(w);
+        payloads[key] = w.data();
+        store.insert(TaskKey{key}, c, dir);
+    }
+    ASSERT_TRUE(store.flush());
+    const std::vector<CacheEntryInfo> packs = ResultStore::listDir(dir);
+    ASSERT_EQ(packs.size(), 1u);
+    std::vector<uint8_t> pack;
+    ASSERT_TRUE(readFileBytes(packs[0].path, &pack));
+
+    // Decode @p bytes; every record must be one of the originals,
+    // byte for byte, at most once.  @return the decoded keys.
+    auto decodedKeys = [&](const std::vector<uint8_t> &bytes) {
+        std::set<uint64_t> keys;
+        for (const PackedCell &c : ResultStore::decodePack(bytes)) {
+            ByteWriter w;
+            c.second.serialize(w);
+            auto it = payloads.find(c.first);
+            EXPECT_TRUE(it != payloads.end() && it->second == w.data())
+                << "decoded a changed cell";
+            EXPECT_TRUE(keys.insert(c.first).second);
+        }
+        return keys;
+    };
+    std::set<uint64_t> all;
+    for (const auto &kv : payloads)
+        all.insert(kv.first);
+    ASSERT_EQ(decodedKeys(pack), all);
+
+    // Every prefix truncation yields a subset.
+    for (size_t n = 0; n < pack.size(); ++n)
+        decodedKeys(std::vector<uint8_t>(pack.begin(), pack.begin() + n));
+
+    // Every single-bit flip yields a subset, and a flip inside one
+    // record's payload drops exactly that record.  A record's payload
+    // starts after the 12-byte header, the earlier records (20 bytes
+    // of framing each) and its own key and length.
+    std::map<uint64_t, std::pair<size_t, size_t>> payload_at;
+    size_t pos = 12;
+    for (const auto &[key, payload] : payloads) {
+        payload_at[key] = {pos + 12, pos + 12 + payload.size()};
+        pos += 20 + payload.size();
+    }
+    ASSERT_EQ(pos, pack.size());
+    for (size_t bit = 0; bit < pack.size() * 8; ++bit) {
+        std::vector<uint8_t> flipped = pack;
+        flipped[bit / 8] ^= (uint8_t)(1u << (bit % 8));
+        const std::set<uint64_t> keys = decodedKeys(flipped);
+        for (const auto &[key, at] : payload_at) {
+            if (bit / 8 < at.first || bit / 8 >= at.second)
+                continue;
+            std::set<uint64_t> expect = all;
+            expect.erase(key);
+            EXPECT_EQ(keys, expect) << "bit " << bit;
+        }
+    }
 }
 
 TEST(ResultStoreTest, CountersTrackMemoDiskAndMissTraffic)

@@ -2,18 +2,26 @@
  * @file
  * td-cache: inspect and bound the on-disk simulation result cache.
  *
- * The ResultStore's disk layer is append-only during simulation — a
- * long sweep campaign only ever grows a cache directory.  This tool
- * closes the loop:
+ * A cache directory holds immutable packs (core/result_store.hh has
+ * the details): a `TDPK` header with the format version and a record
+ * count, then per cell its key, payload length, serialized result and
+ * an FNV-1a checksum.  A sweep writes one `<hash>.tdpk` (temp file +
+ * rename) when its claim loop ends, cancelled sweeps included; a
+ * SIGKILLed or crashed process loses its unflushed cells but never
+ * leaves a torn pack.  Readers load a new pack when the directory's
+ * mtime next changes.  The disk layer is append-only during
+ * simulation — a long sweep campaign only ever grows a cache
+ * directory.  This tool closes the loop:
  *
- *   td-cache ls DIR                     list entries (key, version,
- *                                       size, mtime), oldest first
- *   td-cache stats DIR                  per-state entry/byte totals
- *                                       (ok / stale / corrupt)
+ *   td-cache ls DIR                     list entries (path, version,
+ *                                       cells, bytes, mtime, state),
+ *                                       oldest first
+ *   td-cache stats DIR                  per-state entry/cell/byte
+ *                                       totals (ok / stale / corrupt)
  *   td-cache prune [--max-bytes N] [--max-age DUR] [--stale-versions]
  *                  [--dry-run] DIR
- *                                       evict stale-version entries
- *                                       (if requested), then entries
+ *                                       evict stale entries (if
+ *                                       requested), then entries
  *                                       older than DUR (s/m/h/d
  *                                       suffixes), then oldest-mtime
  *                                       entries until the directory
@@ -21,12 +29,14 @@
  *                                       --dry-run reports the victims
  *                                       without deleting
  *
- * Eviction is always safe: entries are content addressed, so a pruned
- * result simply re-simulates (and re-caches) on next use.  Entries
- * written under another kResultFormatVersion are never read again — ls
- * marks them "stale", stats totals their dead bytes, and `prune
+ * Eviction takes whole packs and is always safe: cells are content
+ * addressed, so a pruned pack's cells simply re-simulate (and
+ * re-cache) on next use.  Packs written under another
+ * kResultFormatVersion are never read again, and neither are the
+ * per-cell `.tdlr` files a pre-pack cache wrote — ls marks both
+ * "stale", stats totals their dead bytes, and `prune
  * --stale-versions` reclaims exactly those without touching live
- * entries.
+ * packs.
  */
 
 #include <cerrno>
@@ -52,19 +62,22 @@ usage(FILE *out)
         "       td-cache stats [--json] DIR\n"
         "       td-cache prune [--max-bytes N] [--max-age DUR] "
         "[--stale-versions] [--dry-run] DIR\n"
-        "  ls     list cache entries (key, version, size, mtime),\n"
+        "  ls     list cache entries -- one pack per sweep -- with\n"
+        "         path, format version, cells, bytes, mtime and state,\n"
         "         oldest first; --json emits one object per entry\n"
-        "  stats  per-state totals: ok (current format), stale\n"
-        "         (written under another format version, never read\n"
-        "         again) and corrupt entries with their byte counts;\n"
-        "         --json emits a single machine-readable object\n"
-        "  prune  delete stale-version entries (--stale-versions),\n"
-        "         then entries older than DUR (suffix s, m, h or d;\n"
+        "  stats  per-state entry, cell and byte totals: ok (packs of\n"
+        "         the current format), stale (packs of another format\n"
+        "         version and pre-pack per-cell .tdlr files, never\n"
+        "         read again) and corrupt; --json emits a single\n"
+        "         machine-readable object\n"
+        "  prune  delete stale entries (--stale-versions), then\n"
+        "         entries older than DUR (suffix s, m, h or d;\n"
         "         plain = seconds), then oldest-mtime entries until\n"
         "         DIR totals at most N bytes (0 empties it); at least\n"
-        "         one bound is required.  --dry-run reports what would\n"
-        "         be evicted without deleting.  Safe at any time --\n"
-        "         pruned results re-simulate on next use\n");
+        "         one bound is required.  Evicts whole packs.\n"
+        "         --dry-run reports what would be evicted without\n"
+        "         deleting.  Safe at any time -- pruned cells\n"
+        "         re-simulate on next use\n");
     return out == stdout ? 0 : 1;
 }
 
@@ -80,14 +93,13 @@ fmtTime(int64_t seconds)
     return buf;
 }
 
-/** Entry status: current, written by another format version, or not a
- * result blob at all. */
+/** State names, indexed by CacheEntryState. */
+const char *const kStates[3] = {"ok", "stale", "corrupt"};
+
 const char *
 entryState(const CacheEntryInfo &e)
 {
-    if (!e.valid)
-        return "corrupt";
-    return e.version == kResultFormatVersion ? "ok" : "stale";
+    return kStates[(int)e.state];
 }
 
 /** Escape a string for a JSON literal (keys and paths are hex/ASCII,
@@ -124,32 +136,35 @@ runLs(const std::string &dir, bool json)
         std::printf("[");
         for (size_t i = 0; i < entries.size(); ++i) {
             const CacheEntryInfo &e = entries[i];
+            const bool known = e.state != CacheEntryState::Corrupt;
             std::printf(
-                "%s\n  {\"key\": \"%s\", \"version\": %u, "
-                "\"state\": \"%s\", \"bytes\": %" PRIu64
-                ", \"mtime\": %" PRId64 "}",
-                i ? "," : "",
-                e.valid ? FnvHasher::toHex(e.key).c_str() : "",
-                e.valid ? e.version : 0, entryState(e), e.bytes,
-                e.mtime);
+                "%s\n  {\"path\": \"%s\", \"version\": %u, "
+                "\"cells\": %" PRIu64 ", \"bytes\": %" PRIu64
+                ", \"mtime\": %" PRId64 ", \"state\": \"%s\"}",
+                i ? "," : "", jsonEscape(e.path).c_str(),
+                known ? e.version : 0, e.cells, e.bytes, e.mtime,
+                entryState(e));
         }
         std::printf("%s]\n", entries.empty() ? "" : "\n");
         return 0;
     }
     Table t;
-    t.header({"key", "ver", "state", "bytes", "mtime (UTC)"});
-    uint64_t total = 0;
+    t.header({"path", "ver", "cells", "bytes", "mtime (UTC)", "state"});
+    uint64_t total = 0, cells = 0;
     for (const CacheEntryInfo &e : entries) {
+        const bool known = e.state != CacheEntryState::Corrupt;
         total += e.bytes;
-        t.row({e.valid ? FnvHasher::toHex(e.key) : "?",
-               e.valid ? std::to_string(e.version) : "?",
-               entryState(e), std::to_string(e.bytes),
-               fmtTime(e.mtime)});
+        cells += e.cells;
+        t.row({e.path, known ? std::to_string(e.version) : "?",
+               known ? std::to_string(e.cells) : "?",
+               std::to_string(e.bytes), fmtTime(e.mtime),
+               entryState(e)});
     }
     t.print();
-    std::printf("%zu entr%s, %" PRIu64 " bytes in %s\n",
+    std::printf("%zu entr%s, %" PRIu64 " cells, %" PRIu64
+                " bytes in %s\n",
                 entries.size(), entries.size() == 1 ? "y" : "ies",
-                total, dir.c_str());
+                cells, total, dir.c_str());
     return 0;
 }
 
@@ -158,36 +173,39 @@ runStats(const std::string &dir, bool json)
 {
     std::vector<CacheEntryInfo> entries = ResultStore::listDir(dir);
     size_t counts[3] = {0, 0, 0};
+    uint64_t cells[3] = {0, 0, 0};
     uint64_t bytes[3] = {0, 0, 0};
-    const char *states[3] = {"ok", "stale", "corrupt"};
     for (const CacheEntryInfo &e : entries) {
-        int s = !e.valid ? 2
-            : e.version == kResultFormatVersion ? 0 : 1;
+        const int s = (int)e.state;
         counts[s] += 1;
+        cells[s] += e.cells;
         bytes[s] += e.bytes;
     }
+    const uint64_t total_cells = cells[0] + cells[1] + cells[2];
+    const uint64_t total_bytes = bytes[0] + bytes[1] + bytes[2];
     if (json) {
         std::printf("{\"dir\": \"%s\", \"format_version\": %u, "
-                    "\"entries\": %zu, \"bytes\": %" PRIu64,
+                    "\"entries\": %zu, \"cells\": %" PRIu64
+                    ", \"bytes\": %" PRIu64,
                     jsonEscape(dir).c_str(), kResultFormatVersion,
-                    entries.size(), bytes[0] + bytes[1] + bytes[2]);
+                    entries.size(), total_cells, total_bytes);
         for (int s = 0; s < 3; ++s)
-            std::printf(", \"%s\": {\"entries\": %zu, \"bytes\": "
-                        "%" PRIu64 "}",
-                        states[s], counts[s], bytes[s]);
+            std::printf(", \"%s\": {\"entries\": %zu, \"cells\": "
+                        "%" PRIu64 ", \"bytes\": %" PRIu64 "}",
+                        kStates[s], counts[s], cells[s], bytes[s]);
         std::printf("}\n");
         return 0;
     }
     Table t;
-    t.header({"state", "entries", "bytes"});
+    t.header({"state", "entries", "cells", "bytes"});
     for (int s = 0; s < 3; ++s)
-        t.row({states[s], std::to_string(counts[s]),
-               std::to_string(bytes[s])});
+        t.row({kStates[s], std::to_string(counts[s]),
+               std::to_string(cells[s]), std::to_string(bytes[s])});
     t.print();
-    std::printf("%zu entr%s, %" PRIu64 " bytes in %s "
-                "(format version %u)\n",
+    std::printf("%zu entr%s, %" PRIu64 " cells, %" PRIu64
+                " bytes in %s (format version %u)\n",
                 entries.size(), entries.size() == 1 ? "y" : "ies",
-                bytes[0] + bytes[1] + bytes[2], dir.c_str(),
+                total_cells, total_bytes, dir.c_str(),
                 kResultFormatVersion);
     return 0;
 }
@@ -197,7 +215,7 @@ runPrune(const std::string &dir, const CachePruneOptions &opts)
 {
     CachePruneStats stats = ResultStore::prune(dir, opts);
     std::printf("scanned %zu entries (%" PRIu64 " bytes), %s %zu "
-                "(%" PRIu64 " bytes, %zu stale-version), %" PRIu64
+                "(%" PRIu64 " bytes, %zu stale), %" PRIu64
                 " bytes %s in %s\n",
                 stats.scanned, stats.scanned_bytes,
                 opts.dry_run ? "would evict" : "evicted",
