@@ -72,7 +72,7 @@ orderBy(const std::vector<TaskSample> &tasks, KeyFn key)
 }
 
 /** One geometry-variant replica of a base task in the synth-aware
- * scenario: with the SynthCache on, all replicas of one base share a
+ * scenario: through the SynthCache, all replicas of one base share a
  * SynthKey, so only the first to execute pays the synthesis time. */
 struct SynthReplica
 {
@@ -211,7 +211,7 @@ main(int argc, char **argv)
                 tasks.size(), serial_ms);
 
     // Synth-aware scenario: replicate the grid across a 5-point
-    // geometry axis (fig17's rows sweep).  With the SynthCache on,
+    // geometry axis (fig17's rows sweep).  Through the SynthCache,
     // all replicas of one base task share a SynthKey, so only the
     // first to execute synthesizes — and runGrid's claim key charges
     // synthesis only to the first-laid-out replica ("synth-key").

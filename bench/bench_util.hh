@@ -327,8 +327,10 @@ writeBenchJson(const Options &opts, int threads)
  * With --reps > 1 the in-process result memo is cleared before every
  * repetition: --reps exists to measure simulation wall-clock (e.g.
  * thread scaling), and serving reps 2..N from the memo would time
- * hash lookups instead.  An explicit --cache-dir/TD_CACHE disk cache
- * is the user's call and still applies.
+ * hash lookups instead.  Synthesis needs no such reset: a sweep frees
+ * its tensors before it returns, so every rep synthesizes its own.
+ * An explicit --cache-dir/TD_CACHE disk cache is the user's call and
+ * still applies.
  */
 template <typename BuildFn>
 inline void
@@ -337,12 +339,8 @@ runFigure(const Options &opts, BuildFn &&build)
     int threads =
         opts.threads > 0 ? opts.threads : ThreadPool::defaultThreadCount();
     for (int rep = 0; rep < opts.reps; ++rep) {
-        if (opts.reps > 1) {
+        if (opts.reps > 1)
             ResultStore::shared().clearMemo();
-            // Same honesty rule for synthesis: reps 2..N must pay it,
-            // not ride rep 1's cached tensors.
-            SynthCache::shared().clear();
-        }
         auto start = std::chrono::steady_clock::now();
         Table t = build();
         double ms = std::chrono::duration<double, std::milli>(

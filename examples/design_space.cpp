@@ -5,8 +5,10 @@
  * speedup, area and compute-energy efficiency side by side -- the
  * kind of study section 4.4 performs.
  *
- * Each configuration's layers simulate as parallel tasks on the
- * shared pool; results are identical at any thread count.
+ * All configurations run as one sweep: their layers simulate as
+ * parallel tasks on the shared pool, and each layer is synthesized
+ * once for every configuration.  Results are identical at any thread
+ * count.
  *
  *   ./build/examples/design_space [model] [threads]
  */
@@ -14,29 +16,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "core/tensordash.hh"
 
 using namespace tensordash;
-
-namespace {
-
-void
-evaluate(const std::string &model, const char *label,
-         AcceleratorConfig accel, int threads)
-{
-    RunConfig cfg;
-    cfg.accel = accel;
-    cfg.accel.max_sampled_macs = 200000;
-    cfg.threads = threads;
-    ModelRunner runner(cfg);
-    ModelRunResult r = runner.runByName(model);
-    AreaModel area(accel.geometry());
-    std::printf("%-34s %6.2fx %9.2f mm2 %8.2fx\n", label, r.speedup(),
-                area.tensorDashTotal().area_mm2, r.coreEfficiency());
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -64,32 +48,41 @@ main(int argc, char **argv)
                 "compute area", "core eff");
     std::printf("%s\n", std::string(66, '-').c_str());
 
-    AcceleratorConfig base;
-    evaluate(model, "default (4x4, 3-deep, paper mux)", base, threads);
-
-    AcceleratorConfig shallow = base;
-    shallow.tile.depth = 2;
-    evaluate(model, "2-deep staging (cheaper)", shallow, threads);
-
-    AcceleratorConfig rows1 = base;
-    rows1.tile.rows = 1;
-    evaluate(model, "1 row per tile (no imbalance)", rows1, threads);
-
-    AcceleratorConfig rows16 = base;
-    rows16.tile.rows = 16;
-    evaluate(model, "16 rows per tile", rows16, threads);
-
-    AcceleratorConfig lookahead = base;
-    lookahead.tile.interconnect = InterconnectKind::LookaheadOnly;
-    evaluate(model, "lookahead-only interconnect", lookahead, threads);
-
-    AcceleratorConfig xbar = base;
-    xbar.tile.interconnect = InterconnectKind::Crossbar;
-    evaluate(model, "idealised crossbar", xbar, threads);
-
-    AcceleratorConfig bf16 = base;
-    bf16.dtype = DataType::Bf16;
-    evaluate(model, "bfloat16 datapath", bf16, threads);
+    RunConfig cfg;
+    cfg.accel.max_sampled_macs = 200000;
+    cfg.threads = threads;
+    SweepSpec spec;
+    spec.models = {ModelZoo::byName(model)};
+    spec.axes = {axis(
+        "configuration",
+        std::vector<AxisOption>{
+            {"default (4x4, 3-deep, paper mux)", [](RunConfig &) {}},
+            {"2-deep staging (cheaper)",
+             [](RunConfig &c) { c.accel.tile.depth = 2; }},
+            {"1 row per tile (no imbalance)",
+             [](RunConfig &c) { c.accel.tile.rows = 1; }},
+            {"16 rows per tile",
+             [](RunConfig &c) { c.accel.tile.rows = 16; }},
+            {"lookahead-only interconnect",
+             [](RunConfig &c) {
+                 c.accel.tile.interconnect =
+                     InterconnectKind::LookaheadOnly;
+             }},
+            {"idealised crossbar",
+             [](RunConfig &c) {
+                 c.accel.tile.interconnect = InterconnectKind::Crossbar;
+             }},
+            {"bfloat16 datapath",
+             [](RunConfig &c) { c.accel.dtype = DataType::Bf16; }},
+        })};
+    SweepResult sweep = ModelRunner(cfg).runSweep(spec);
+    for (size_t v = 0; v < spec.variantCount(); ++v) {
+        const ModelRunResult &r = sweep.at(0, 0, v);
+        AreaModel area(spec.variantConfig(cfg, v).accel.geometry());
+        std::printf("%-34s %6.2fx %9.2f mm2 %8.2fx\n",
+                    spec.axes[0].values[v].c_str(), r.speedup(),
+                    area.tensorDashTotal().area_mm2, r.coreEfficiency());
+    }
 
     std::printf("\nAreas come from the Table 3 synthesis constants "
                 "scaled to each geometry.\n");

@@ -5,10 +5,9 @@
  * @file
  * Validated environment-variable parsing.
  *
- * Every TD_* execution knob (TD_THREADS, TD_SYNTH_CACHE_BYTES,
- * TD_CACHE, ...) resolves through these helpers
- * instead of ad-hoc strtol calls scattered across subsystems, so all
- * knobs share one contract:
+ * The library's TD_* execution knobs (TD_THREADS, TD_CACHE) resolve
+ * through these helpers instead of ad-hoc strtol calls scattered
+ * across subsystems, so all knobs share one contract:
  *
  *  - unset          -> the caller's fallback, silently;
  *  - well-formed    -> the parsed value, range-checked;
@@ -23,7 +22,6 @@
  * rather than saturated.
  */
 
-#include <cstdint>
 #include <string>
 
 namespace tensordash {
@@ -37,21 +35,12 @@ namespace env {
 long intKnob(const char *name, long min, long max, long fallback);
 
 /**
- * Non-negative byte-count knob (e.g. TD_SYNTH_CACHE_BYTES).  Same
- * contract as intKnob with an implicit [0, UINT64_MAX] range.
- */
-uint64_t byteKnob(const char *name, uint64_t fallback);
-
-/**
  * String knob (e.g. TD_CACHE's directory).  Returns @p fallback when
  * unset; any set value — including empty — passes through verbatim
  * (there is no malformed string).
  */
 std::string stringKnob(const char *name,
                        const std::string &fallback = "");
-
-/** True when @p name is set (to anything, including empty). */
-bool isSet(const char *name);
 
 } // namespace env
 } // namespace tensordash

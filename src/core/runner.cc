@@ -111,11 +111,11 @@ struct SimTask
      * volume.  Unlike raw dense MACs, this sees the sampling cap, the
      * per-job gather/schedule volume and the sparse front end's
      * expected cycle reduction, so a sampling-capped variant of a
-     * huge layer no longer outranks genuinely costlier cells.  With
-     * the synthesis cache on, synthesis volume is charged only to the
-     * first task of each SynthKey — its siblings reuse the tensors —
-     * which both keeps costliest-first ordering honest and sorts the
-     * synthesizing task ahead of its reusers. */
+     * huge layer no longer outranks genuinely costlier cells.
+     * Synthesis volume is charged only to the first task of each
+     * SynthKey — its siblings reuse the tensors — which both keeps
+     * costliest-first ordering honest and sorts the synthesizing task
+     * ahead of its reusers. */
     double est_cost;
 };
 
@@ -158,19 +158,15 @@ synthesizeLayer(const SweepUnit &unit, size_t layer)
  * inference sweep's gap is bit-identical to the one a full training
  * run produces.
  *
- * Tensors come from the process-wide SynthCache when @p synth_cache
- * is set: the first task of each SynthKey synthesizes (under the
- * key's own latch), every geometry sibling reuses the ready tensors
- * and their pre-measured sparsities.  With the cache disabled the
- * task synthesizes privately but still measures each sparsity exactly
- * once — the gating observation and the write-back estimate share the
- * scan.
+ * Tensors come from the process-wide SynthCache, where runGrid
+ * retained the task's SynthKey: the first task of each key synthesizes
+ * (under the key's own latch), every geometry sibling reuses the ready
+ * tensors and their pre-measured sparsities.
  */
 void
 simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
                 const SimTask &task, std::span<const TrainOp> ops,
-                uint32_t missing, SynthCache *synth_cache,
-                LayerResult *out)
+                uint32_t missing, LayerResult *out)
 {
     const RunConfig &config = *unit.config;
     AcceleratorConfig accel_cfg = config.accel;
@@ -183,22 +179,8 @@ simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
                                  unit.progress)
             : synthesizeLayer(unit, task.layer);
     };
-    std::shared_ptr<const SynthTensors> cached;
-    SynthTensors local;
-    const SynthTensors *st;
-    if (synth_cache) {
-        cached = synth_cache->acquire(SynthKey{task.synth_key}, synth);
-        st = cached.get();
-    } else {
-        local.tensors = synth();
-        // One scan per tensor, shared by the gating observation and
-        // the write-back estimate below (weights only gate).
-        local.act_sparsity = local.tensors.acts.sparsity();
-        local.grad_sparsity = local.tensors.grads.sparsity();
-        if (config.accel.power_gating)
-            local.weight_sparsity = local.tensors.weights.sparsity();
-        st = &local;
-    }
+    std::shared_ptr<const SynthTensors> st =
+        SynthCache::shared().acquire(SynthKey{task.synth_key}, synth);
     const LayerTensors &t = st->tensors;
     if (config.accel.power_gating) {
         // Observe -> freeze: decisions are immutable before any op of
@@ -333,7 +315,7 @@ struct GridEnumeration
     std::vector<double> cell_costs;
 
     /** Synthesis volume charged per slot (0 for reusers of an
-     * already-charged SynthKey when the synthesis cache is on). */
+     * already-charged SynthKey). */
     std::vector<double> task_synth_costs;
 };
 
@@ -342,13 +324,11 @@ struct GridEnumeration
  * fingerprint every (layer, op) cell under its variant's effective
  * config and phase.  Keys and claim costs are computed serially up
  * front: they are cheap relative to simulation and the sweep
- * fingerprint needs every key.  @p synth_cache_on selects the
- * synthesis cost model: with the cache on only the first task of each
- * SynthKey pays synthesis (its geometry siblings reuse the tensors),
- * with it off every exact task does.
+ * fingerprint needs every key.  Only the first task of each SynthKey
+ * pays synthesis: its geometry siblings reuse the tensors.
  */
 GridEnumeration
-enumerateGrid(const GridLayout &grid, bool synth_cache_on)
+enumerateGrid(const GridLayout &grid)
 {
     GridEnumeration e;
 
@@ -391,7 +371,7 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
 
     // SynthKeys whose synthesis cost has been charged to a task:
     // geometry variants share keys, and only the first task of a key
-    // actually synthesizes when the cache is on.
+    // actually synthesizes.
     std::unordered_set<uint64_t> charged_synth;
     for (size_t v = 0; v < grid.variant_configs.size(); ++v) {
         const RunConfig &config = grid.variant_configs[v];
@@ -424,13 +404,10 @@ enumerateGrid(const GridLayout &grid, bool synth_cache_on)
                                           grid.synthesis_salt)
                             .value;
                     // Estimate-tier tasks never synthesize; exact
-                    // tasks pay synthesis once per key when the cache
-                    // is on (every reuser rides the first task's
-                    // tensors), or always when it is off.
+                    // tasks pay synthesis once per key (every reuser
+                    // rides the first task's tensors).
                     double synth_cost = 0.0;
-                    if (!estimate &&
-                        (!synth_cache_on ||
-                         charged_synth.insert(skey).second))
+                    if (!estimate && charged_synth.insert(skey).second)
                         synth_cost = synthesisCost(model->layers[l],
                                                    model->batch);
                     double cost = synth_cost;
@@ -515,16 +492,7 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
             (uint32_t)model.layers.size());
     }
 
-    // Synthesis cache: resolved once per run from the execution
-    // config (0 disables; every task then synthesizes in place).
-    const uint64_t synth_budget =
-        SynthCache::resolveBudget(exec.synth_cache_bytes);
-    SynthCache *synth_cache =
-        synth_budget > 0 ? &SynthCache::shared() : nullptr;
-    if (synth_cache)
-        synth_cache->setBudgetBytes(synth_budget);
-
-    GridEnumeration e = enumerateGrid(grid, synth_cache != nullptr);
+    GridEnumeration e = enumerateGrid(grid);
     const std::vector<SweepUnit> &units = e.units;
     const std::vector<SimTask> &tasks = e.tasks;
     const std::vector<TaskKey> &keys = e.keys;
@@ -575,6 +543,15 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
                          return a.est_cost > b.est_cost;
                      });
 
+    // Every owned exact task may read its layer's tensors, so each
+    // holds one use of its SynthKey until it is done, on every path:
+    // the last reader frees the tensors, and a returned sweep holds
+    // nothing.
+    SynthCache &synth_cache = SynthCache::shared();
+    for (const SimTask &task : owned)
+        if (units[task.unit].config->fidelity == Fidelity::Exact)
+            synth_cache.retain(SynthKey{task.synth_key});
+
     ResultStore *store = exec.cache ? &ResultStore::shared() : nullptr;
     const std::string cache_dir =
         store ? ResultStore::resolveDir(exec.cache_dir) : "";
@@ -593,15 +570,20 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
     pool.parallelFor(
         owned.size(),
         [&](size_t i) {
+            const SimTask &task = owned[i];
+            const SweepUnit &unit = units[task.unit];
+            const bool exact =
+                unit.config->fidelity == Fidelity::Exact;
             // Cancellation drains: tasks already simulating finish
             // normally (no torn cells), tasks not yet started are
             // skipped and their slots stay absent — the partial sweep
             // still serializes and merges like any shard.
             if (hooks.cancel &&
-                hooks.cancel->load(std::memory_order_relaxed))
+                hooks.cancel->load(std::memory_order_relaxed)) {
+                if (exact)
+                    synth_cache.release(SynthKey{task.synth_key});
                 return;
-            const SimTask &task = owned[i];
-            const SweepUnit &unit = units[task.unit];
+            }
             std::span<const TrainOp> ops =
                 phaseOps(unit.config->phase);
             const uint32_t want = cell_mode
@@ -622,16 +604,14 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
                     missing |= 1u << j;
             }
             if (missing) {
-                const bool estimate =
-                    unit.config->fidelity == Fidelity::Estimate;
-                if (estimate)
-                    estimateTaskOps(grid, unit, task, ops, missing,
+                if (exact)
+                    simulateTaskOps(grid, unit, task, ops, missing,
                                     &out);
                 else
-                    simulateTaskOps(grid, unit, task, ops, missing,
-                                    synth_cache, &out);
+                    estimateTaskOps(grid, unit, task, ops, missing,
+                                    &out);
                 std::atomic<size_t> &produced =
-                    estimate ? estimated : simulated;
+                    exact ? simulated : estimated;
                 for (size_t j = 0; j < ops.size(); ++j) {
                     if (!(missing & (1u << j)))
                         continue;
@@ -641,6 +621,8 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
                                       out.cells[j], cache_dir);
                 }
             }
+            if (exact)
+                synth_cache.release(SynthKey{task.synth_key});
             cache_hits.fetch_add(hits, std::memory_order_relaxed);
             sweep.present[task.slot] = (uint8_t)want;
             if (hooks.progress) {
@@ -1270,9 +1252,7 @@ ModelRunner::planSweep(const SweepSpec &spec) const
 {
     MaterializedSweep mat(spec, config_);
     GridLayout grid = mat.layout(spec);
-    GridEnumeration e = enumerateGrid(
-        grid,
-        SynthCache::resolveBudget(config_.synth_cache_bytes) > 0);
+    GridEnumeration e = enumerateGrid(grid);
     std::vector<GridCellInfo> cells;
     cells.reserve(e.keys.size());
     for (const SimTask &task : e.tasks) {

@@ -53,9 +53,10 @@
  *    values) skip re-simulation entirely, in-process and — with a
  *    cache dir — across processes.  Synthesis is content addressed
  *    the same way one level down (core/synth_cache.hh): a SynthKey
- *    covers only the synthesis-affecting inputs, so the N variants of
- *    a geometry axis synthesize each (model, progress, layer) cell
- *    once and share the tensors.
+ *    covers only the synthesis-affecting inputs, so within one sweep
+ *    the N variants of a geometry axis synthesize each (model,
+ *    progress, layer) cell once and share the tensors until the
+ *    cell's last reader is done.
  *  - Sharding: runSweep()/runMany() accept a Shard{index, count} that
  *    deterministically partitions the task grid.  A partial
  *    SweepResult serializes to bytes, travels between
@@ -207,18 +208,6 @@ struct RunConfig
      * when cache is false.
      */
     std::string cache_dir;
-
-    /**
-     * Resident-byte budget of the process-wide synthesis cache (see
-     * core/synth_cache.hh), which lets a sweep's N geometry variants
-     * synthesize each (model, progress, layer) cell once: 0 disables
-     * the cache (every task synthesizes in place), positive sets the
-     * LRU budget, negative (the default) resolves TD_SYNTH_CACHE_BYTES
-     * else SynthCache::kDefaultBudgetBytes.  Purely an execution knob
-     * — cached, evicted and disabled runs are bit-identical, so like
-     * threads/cache it is never part of a cell's TaskKey.
-     */
-    int64_t synth_cache_bytes = -1;
 };
 
 /**
@@ -503,7 +492,9 @@ SweepAxis batchAxis(std::vector<int> batches);
  * axis slowest-varying; no axes = the base config alone) and runs the
  * whole (variant x model x progress x layer) grid as one batch —
  * cached, shardable, and claimed costliest-first across every axis
- * point.
+ * point.  Synthesized tensors are shared only inside one sweep, so
+ * design points that read the same workload belong on one spec's
+ * axes, not in separate runs.
  */
 struct SweepSpec
 {
@@ -517,9 +508,8 @@ struct SweepSpec
      * Configuration axes, crossed.  Mutators run against a copy of the
      * runner's RunConfig and may change anything that affects what is
      * simulated (accel geometry, DRAM timing, seed, ...); execution
-     * knobs (threads, cache, cache_dir, synth_cache_bytes) and the
-     * progress points are taken from the runner/spec and ignored if
-     * mutated.
+     * knobs (threads, cache, cache_dir) and the progress points are
+     * taken from the runner/spec and ignored if mutated.
      */
     std::vector<SweepAxis> axes;
 
@@ -540,9 +530,9 @@ struct SweepSpec
      * equal keys could describe different tensors.  Of its RunConfig
      * argument a hook may read only the seed and the batch override:
      * the SynthCache (see core/synth_cache.hh) shares one synthesis
-     * across geometry variants, so a hook that read accelerator
-     * geometry, the memory model, the fidelity tier or the phase
-     * would hand N variants tensors only one of them asked for.
+     * across a sweep's geometry variants, so a hook that read
+     * accelerator geometry, the memory model, the fidelity tier or the
+     * phase would hand N variants tensors only one of them asked for.
      */
     using SynthesizeFn = std::function<LayerTensors(
         const RunConfig &, const ModelProfile &, size_t, double)>;

@@ -1,6 +1,5 @@
 #include "core/synth_cache.hh"
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "core/runner.hh"
 
@@ -58,22 +57,34 @@ SynthCache::shared()
     return cache;
 }
 
+std::shared_ptr<SynthCache::Slot> &
+SynthCache::slotLocked(const SynthKey &key)
+{
+    auto it = map_.find(key.value);
+    TD_ASSERT(it != map_.end(),
+              "synthesis key %016llx has no live slot: every reader "
+              "retains it before acquiring or releasing",
+              (unsigned long long)key.value);
+    return it->second;
+}
+
+void
+SynthCache::retain(const SynthKey &key)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    std::shared_ptr<Slot> &slot = map_[key.value];
+    if (!slot)
+        slot = std::make_shared<Slot>();
+    ++slot->uses;
+}
+
 std::shared_ptr<const SynthTensors>
 SynthCache::acquire(const SynthKey &key, const SynthFn &synthesize)
 {
     std::shared_ptr<Slot> slot;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(key.value);
-        if (it != map_.end()) {
-            slot = it->second;
-            lru_.splice(lru_.begin(), lru_, slot->lru_it);
-        } else {
-            slot = std::make_shared<Slot>();
-            lru_.push_front(key.value);
-            slot->lru_it = lru_.begin();
-            map_.emplace(key.value, slot);
-        }
+        slot = slotLocked(key);
     }
 
     // First acquirer synthesizes under the key's own latch; everyone
@@ -93,58 +104,31 @@ SynthCache::acquire(const SynthKey &key, const SynthFn &synthesize)
     });
 
     std::shared_ptr<const SynthTensors> value = slot->value;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (synthesized) {
-            ++counters_.keys;
-            // Account the new entry unless the slot was evicted while
-            // synthesis was in flight (the caller's pointer keeps the
-            // tensors alive either way).
-            auto it = map_.find(key.value);
-            if (it != map_.end() && it->second == slot) {
-                slot->bytes = value->bytes;
-                resident_ += slot->bytes;
-                evictLocked();
-            }
-        } else {
-            ++counters_.reuses;
-        }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (synthesized) {
+        // The acquirer still holds its use, so the slot is live.
+        ++counters_.keys;
+        slot->bytes = value->bytes;
+        resident_ += slot->bytes;
+    } else {
+        ++counters_.reuses;
     }
     return value;
 }
 
 void
-SynthCache::evictLocked()
+SynthCache::release(const SynthKey &key)
 {
-    // Walk from the cold end, skipping in-flight slots (bytes == 0 —
-    // they hold no accounted tensors yet and their synthesizer needs
-    // the map entry to account them).
-    auto it = lru_.end();
-    while (resident_ > budget_ && it != lru_.begin()) {
-        --it;
-        auto mit = map_.find(*it);
-        TD_ASSERT(mit != map_.end(), "LRU entry without a map slot");
-        if (mit->second->bytes == 0)
-            continue;
-        resident_ -= mit->second->bytes;
-        map_.erase(mit);
-        it = lru_.erase(it);
-    }
-}
-
-void
-SynthCache::setBudgetBytes(uint64_t bytes)
-{
+    // Declared before the lock so the tensors are freed after it
+    // drops: unmapping them must not stall other readers.
+    std::shared_ptr<Slot> last;
     std::lock_guard<std::mutex> lock(mu_);
-    budget_ = bytes;
-    evictLocked();
-}
-
-uint64_t
-SynthCache::budgetBytes() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return budget_;
+    std::shared_ptr<Slot> &slot = slotLocked(key);
+    if (--slot->uses > 0)
+        return;
+    resident_ -= slot->bytes;
+    last = std::move(slot);
+    map_.erase(key.value);
 }
 
 uint64_t
@@ -158,10 +142,7 @@ size_t
 SynthCache::entryCount() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    size_t n = 0;
-    for (const auto &kv : map_)
-        n += kv.second->bytes != 0;
-    return n;
+    return map_.size();
 }
 
 SynthCounters
@@ -182,28 +163,8 @@ void
 SynthCache::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    // Ready entries drop; in-flight slots stay so their synthesizer
-    // still finds (and skips accounting for) a consistent map.
-    auto it = lru_.begin();
-    while (it != lru_.end()) {
-        auto mit = map_.find(*it);
-        TD_ASSERT(mit != map_.end(), "LRU entry without a map slot");
-        if (mit->second->bytes == 0) {
-            ++it;
-            continue;
-        }
-        resident_ -= mit->second->bytes;
-        map_.erase(mit);
-        it = lru_.erase(it);
-    }
-}
-
-uint64_t
-SynthCache::resolveBudget(int64_t configured)
-{
-    if (configured >= 0)
-        return (uint64_t)configured;
-    return env::byteKnob("TD_SYNTH_CACHE_BYTES", kDefaultBudgetBytes);
+    map_.clear();
+    resident_ = 0;
 }
 
 } // namespace tensordash

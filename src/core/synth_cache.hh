@@ -18,24 +18,24 @@
  * the ResultStore content-addresses results: the first task of a key
  * synthesizes once, every sibling variant reuses the ready tensors.
  *
+ * Lifetime: sharing is per sweep.  Before its claim loop starts a
+ * sweep retains one use of a key per exact task that may read it;
+ * every such task releases its use once it is done (simulated, served
+ * from the result cache, or skipped by cancellation), and the last
+ * release frees the tensors.  A returned sweep therefore holds
+ * nothing, and separate sweeps synthesize their own tensors.
+ *
  * Concurrency: a per-key once-latch serialises the *first* synthesis
  * of each key (waiters block on that key alone, never on the global
  * map lock, so unrelated synthesis proceeds in parallel).  Entries are
  * immutable once published and handed out as shared_ptr-to-const, so
- * readers on any thread share one tensor allocation safely.
- *
- * Memory: a byte-budgeted LRU (TD_SYNTH_CACHE_BYTES or
- * RunConfig::synth_cache_bytes; the default comfortably holds the
- * zoo's largest model's working set) bounds resident tensor bytes.
- * Eviction — and disabling the cache entirely — is bit-identical to
- * synthesizing in place by construction: the same forked per-layer Rng
- * reproduces the same tensors, so the cache only ever changes
- * wall-clock, never output.
+ * readers on any thread share one tensor allocation safely.  The same
+ * forked per-layer Rng reproduces the same tensors, so sharing only
+ * ever changes wall-clock, never output.
  */
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -98,7 +98,7 @@ struct SynthTensors
     double weight_sparsity = 0.0;
     double grad_sparsity = 0.0;
 
-    /** Resident tensor bytes (the LRU accounting unit). */
+    /** Tensor bytes, counted in SynthCache::residentBytes(). */
     uint64_t bytes = 0;
 };
 
@@ -114,7 +114,10 @@ struct SynthCounters
     uint64_t reuses = 0; ///< acquisitions served without synthesizing
 };
 
-/** Process-wide byte-budgeted LRU of synthesized layer tensors. */
+/**
+ * Process-wide store of synthesized layer tensors, each kept from its
+ * first retain until its last reader releases it.
+ */
 class SynthCache
 {
   public:
@@ -123,38 +126,37 @@ class SynthCache
     SynthCache(const SynthCache &) = delete;
     SynthCache &operator=(const SynthCache &) = delete;
 
-    /** The process-wide cache every synth-cache-enabled run uses. */
+    /** The process-wide cache every exact run uses. */
     static SynthCache &shared();
 
-    /** Produces one layer's tensors (called at most once per key while
-     * the entry stays resident). */
+    /** Produces one layer's tensors (called once per live slot). */
     using SynthFn = std::function<LayerTensors()>;
 
+    /** Register one future reader of @p key, creating its slot if no
+     * reader holds one. */
+    void retain(const SynthKey &key);
+
     /**
-     * Fetch the entry for @p key, synthesizing it via @p synthesize on
-     * first acquisition.  Concurrent acquirers of one key block on the
-     * key's own latch until the first finishes (the global lock is
-     * never held across synthesis); the returned entry is immutable
-     * and stays valid while the caller holds the pointer, even if the
-     * LRU evicts it meanwhile.
+     * Fetch the entry for retained @p key, synthesizing it via
+     * @p synthesize on first acquisition.  Concurrent acquirers of one
+     * key block on the key's own latch until the first finishes (the
+     * global lock is never held across synthesis); the returned entry
+     * is immutable and stays valid while the caller holds the pointer,
+     * even after the slot is released.
      */
     std::shared_ptr<const SynthTensors>
     acquire(const SynthKey &key, const SynthFn &synthesize);
 
-    /**
-     * Set the resident-byte budget and evict least-recently-used
-     * entries down to it.  A budget smaller than one entry evicts
-     * everything not currently borrowed; acquisitions still work —
-     * each one re-synthesizes.
-     */
-    void setBudgetBytes(uint64_t bytes);
+    /** Drop one reader of @p key, whether or not it acquired; the last
+     * release erases the slot and frees its tensors once no acquired
+     * pointer remains. */
+    void release(const SynthKey &key);
 
-    uint64_t budgetBytes() const;
-
-    /** Bytes of ready entries currently resident (<= budget). */
+    /** Bytes of synthesized entries whose slot is still live. */
     uint64_t residentBytes() const;
 
-    /** Ready entries currently resident. */
+    /** Live slots, retained or synthesized: 0 between sweeps unless a
+     * reader leaked its use. */
     size_t entryCount() const;
 
     /** Snapshot of the lifetime synthesize/reuse counters. */
@@ -163,26 +165,9 @@ class SynthCache
     /** Zero the counters (benches isolating one sweep's traffic). */
     void resetCounters();
 
-    /** Drop every resident entry (borrowed entries stay valid). */
+    /** Drop every slot (acquired pointers stay valid).  Only between
+     * sweeps: a reader that still holds a use fails its release. */
     void clear();
-
-    /**
-     * Byte budget a run should use for @p configured
-     * (RunConfig::synth_cache_bytes): a non-negative value wins (0 =
-     * the cache is disabled), negative falls back to the
-     * TD_SYNTH_CACHE_BYTES environment variable, else the built-in
-     * default.
-     */
-    static uint64_t resolveBudget(int64_t configured);
-
-    /**
-     * Default resident-byte budget: 256 MiB, ~2.5x the largest zoo
-     * model's full synthesis working set (VGG16, ~104 MiB) and enough
-     * to hold the whole paper suite's single-progress-point grid
-     * (~229 MiB), so every design-space figure reuses across its full
-     * geometry axis.
-     */
-    static constexpr uint64_t kDefaultBudgetBytes = 256ull << 20;
 
   private:
     /** One key's slot: the once-latch plus the published entry.  The
@@ -194,22 +179,18 @@ class SynthCache
         /** Published by the latch winner before any waiter returns
          * (call_once orders the write); never read under mu_. */
         std::shared_ptr<const SynthTensors> value;
-        /** Accounted bytes, guarded by mu_ (0 = not yet accounted —
-         * in-flight slots are never evicted). */
+        /** Accounted bytes, guarded by mu_ (0 until synthesized). */
         uint64_t bytes = 0;
-        /** Recency position in lru_, guarded by mu_. */
-        std::list<uint64_t>::iterator lru_it;
+        /** Readers that have not released yet, guarded by mu_. */
+        size_t uses = 0;
     };
 
-    /** Evict LRU ready entries until resident_ <= budget_ (mu_
-     * held). */
-    void evictLocked();
+    /** The live slot of @p key (mu_ held); panics when no reader
+     * retained it. */
+    std::shared_ptr<Slot> &slotLocked(const SynthKey &key);
 
     mutable std::mutex mu_;
     std::unordered_map<uint64_t, std::shared_ptr<Slot>> map_;
-    /** Key recency, most recent first. */
-    std::list<uint64_t> lru_;
-    uint64_t budget_ = kDefaultBudgetBytes;
     uint64_t resident_ = 0;
     SynthCounters counters_;
 };

@@ -2,11 +2,11 @@
  * @file
  * Tests for the content-addressed synthesis cache: SynthKey covers
  * exactly the synthesis-affecting inputs (and nothing else), a
- * multi-variant geometry sweep synthesizes each cell once, sweeps are
- * bit-identical cold vs warm vs disabled at any thread count and
- * under both memory models, the byte-budgeted LRU respects its budget
- * and re-synthesizes evicted cells bit-identically, and custom
- * synthesize hooks key on their salt.
+ * multi-variant geometry sweep synthesizes each cell once, a shared
+ * synthesis is bit-identical to each variant run alone at any thread
+ * count and under both memory models, an entry lives from its first
+ * retain to its last release so a returned sweep holds nothing, and
+ * custom synthesize hooks key on their salt.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/tensordash.hh"
 
 namespace tensordash {
@@ -65,8 +66,8 @@ tinyModels()
 }
 
 /** Fast configuration; @p seed keeps each test's task and synth keys
- * disjoint from every other test's — the result memo and the synth
- * cache are both process-wide. */
+ * disjoint from every other test's — the result memo is
+ * process-wide. */
 RunConfig
 specConfig(uint64_t seed)
 {
@@ -75,7 +76,7 @@ specConfig(uint64_t seed)
     cfg.accel.max_sampled_macs = 20000;
     cfg.seed = seed;
     cfg.threads = 0; // pool default: exercises concurrent claims
-    // Bit-identity tests compare repeated runs of one spec: the result
+    // Bit-identity tests compare runs that share cells: the result
     // memo would serve the repeat without simulating, hiding exactly
     // the synthesis paths under test.
     cfg.cache = false;
@@ -90,13 +91,21 @@ rowsAxis(std::initializer_list<int> rows)
     });
 }
 
-/** Serialized sweep content with the cache telemetry zeroed. */
+/** Serialized bytes of one layer's op cells. */
 std::vector<uint8_t>
-contentBytes(SweepResult s)
+layerBytes(const LayerResult &r)
 {
-    s.cache_hits = 0;
-    s.simulated = 0;
-    return s.serialize();
+    ByteWriter w;
+    r.serialize(w);
+    return w.data();
+}
+
+/** Expect the process-wide cache to hold no slot and no bytes. */
+void
+expectNothingResident(const char *after)
+{
+    EXPECT_EQ(SynthCache::shared().entryCount(), 0u) << after;
+    EXPECT_EQ(SynthCache::shared().residentBytes(), 0u) << after;
 }
 
 TEST(SynthKeyTest, CoversSynthesisInputsOnly)
@@ -170,7 +179,6 @@ TEST(SynthKeyTest, CoversSynthesisInputsOnly)
         RunConfig c = cfg;
         c.cache = true;
         c.threads = 3;
-        c.synth_cache_bytes = 123;
         EXPECT_EQ(base, SynthKey::forCell(c, model, 0, 0.5).value);
     }
 
@@ -198,7 +206,6 @@ TEST(SynthCacheTest, CrossVariantReuseOnTwoAxisGrid)
                      c.accel.tiles = t;
                  })};
 
-    SynthCache::shared().clear();
     const SynthCounters before = SynthCache::shared().counters();
     SweepResult sweep = runner.runSweep(spec);
     const SynthCounters after = SynthCache::shared().counters();
@@ -223,7 +230,6 @@ TEST(SynthCacheTest, EstimateVariantsNeverSynthesize)
     spec.progress_points = {0.5};
     spec.axes = {rowsAxis({2, 4})};
 
-    SynthCache::shared().clear();
     const SynthCounters before = SynthCache::shared().counters();
     SweepResult sweep = runner.runSweep(spec);
     const SynthCounters after = SynthCache::shared().counters();
@@ -245,113 +251,146 @@ TEST(SynthCacheTest, BitIdentityColdWarmDisabledAcrossThreads)
         spec.progress_points = {0.25, 0.75};
         spec.axes = {rowsAxis({2, 4})};
 
-        // Reference: cache disabled, single thread.
+        // Reference: each variant alone on one thread, where no key
+        // has a second reader, so every task synthesizes its own
+        // tensors.
         RunConfig ref_cfg = cfg;
         ref_cfg.threads = 1;
-        ref_cfg.synth_cache_bytes = 0;
-        std::vector<uint8_t> want =
-            contentBytes(ModelRunner(ref_cfg).runSweep(spec));
+        std::vector<SweepResult> alone;
+        for (int rows : {2, 4}) {
+            SweepSpec one = spec;
+            one.axes = {rowsAxis({rows})};
+            alone.push_back(ModelRunner(ref_cfg).runSweep(one));
+        }
+        const size_t slots = alone[0].taskCount();
 
         for (int threads : {1, 2, 8}) {
             RunConfig c = cfg;
             c.threads = threads;
-
-            c.synth_cache_bytes = 0; // disabled
-            EXPECT_EQ(want,
-                      contentBytes(ModelRunner(c).runSweep(spec)))
-                << "disabled, threads=" << threads;
-
-            c.synth_cache_bytes = 256 << 20;
-            SynthCache::shared().clear(); // cold
-            EXPECT_EQ(want,
-                      contentBytes(ModelRunner(c).runSweep(spec)))
-                << "cold, threads=" << threads;
-
-            // warm: same keys, served from the ready entries
-            EXPECT_EQ(want,
-                      contentBytes(ModelRunner(c).runSweep(spec)))
-                << "warm, threads=" << threads;
+            // Run twice: a finished sweep leaves nothing behind, so
+            // the repeat shares one synthesis per key from scratch.
+            for (int run = 0; run < 2; ++run) {
+                SweepResult shared = ModelRunner(c).runSweep(spec);
+                ASSERT_EQ(shared.taskCount(), 2 * slots);
+                for (size_t v = 0; v < 2; ++v)
+                    for (size_t i = 0; i < slots; ++i)
+                        EXPECT_EQ(layerBytes(alone[v].layer_results[i]),
+                                  layerBytes(
+                                      shared.layer_results[v * slots + i]))
+                            << "variant " << v << ", slot " << i
+                            << ", threads=" << threads << ", run " << run;
+                expectNothingResident("two-variant sweep");
+            }
         }
     }
 }
 
-TEST(SynthCacheTest, TinyBudgetEvictsYetStaysBitIdentical)
-{
-    RunConfig cfg = specConfig(9400);
-
-    SweepSpec spec;
-    spec.models = tinyModels();
-    spec.progress_points = {0.5};
-    spec.axes = {rowsAxis({2, 4})};
-
-    RunConfig ref_cfg = cfg;
-    ref_cfg.synth_cache_bytes = 0;
-    std::vector<uint8_t> want =
-        contentBytes(ModelRunner(ref_cfg).runSweep(spec));
-
-    // A 1-byte budget evicts every entry as soon as it is accounted:
-    // reuse still happens for concurrent holders, but the steady
-    // state is constant eviction and re-synthesis.
-    RunConfig c = cfg;
-    c.synth_cache_bytes = 1;
-    SynthCache::shared().clear();
-    EXPECT_EQ(want, contentBytes(ModelRunner(c).runSweep(spec)));
-    EXPECT_LE(SynthCache::shared().residentBytes(), 1u);
-}
-
-TEST(SynthCacheTest, LruEvictionRespectsByteBudget)
+TEST(SynthCacheTest, RetainAcquireRelease)
 {
     SynthCache cache;
     ModelProfile model = tinyModel();
     const LayerSpec &layer = model.layers[0];
-
-    auto makeKey = [](uint64_t i) { return SynthKey{0xabc000 + i}; };
+    const SynthKey key{0xabc001};
     std::atomic<int> synth_calls{0};
-    auto synthAt = [&](uint64_t i) {
-        return [&, i]() -> LayerTensors {
-            ++synth_calls;
-            Rng rng(1000 + i);
-            return ModelZoo::synthesize(model, layer, 0.5, rng);
-        };
+    auto synth = [&]() -> LayerTensors {
+        ++synth_calls;
+        Rng rng(1001);
+        return ModelZoo::synthesize(model, layer, 0.5, rng);
     };
 
-    auto first = cache.acquire(makeKey(0), synthAt(0));
-    const uint64_t entry_bytes = first->bytes;
-    ASSERT_GT(entry_bytes, 0u);
+    // Two readers: one synthesis, one reuse of the same tensors.
+    cache.retain(key);
+    cache.retain(key);
+    EXPECT_EQ(cache.entryCount(), 1u);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+    auto first = cache.acquire(key, synth);
+    auto second = cache.acquire(key, synth);
+    EXPECT_EQ(synth_calls.load(), 1);
+    EXPECT_EQ(first.get(), second.get());
+    EXPECT_EQ(cache.counters().keys, 1u);
+    EXPECT_EQ(cache.counters().reuses, 1u);
+    EXPECT_EQ(cache.residentBytes(), first->bytes);
 
-    // Budget for two entries: inserting a third evicts the least
-    // recently used.
-    cache.setBudgetBytes(2 * entry_bytes);
-    cache.acquire(makeKey(1), synthAt(1));
-    cache.acquire(makeKey(0), synthAt(0)); // key 0 now most recent
-    cache.acquire(makeKey(2), synthAt(2)); // evicts key 1
-    EXPECT_EQ(synth_calls.load(), 3);
-    EXPECT_LE(cache.residentBytes(), cache.budgetBytes());
-    EXPECT_EQ(cache.entryCount(), 2u);
-
-    // Key 0 survived (recent); key 1 was evicted and re-synthesizes
-    // bit-identically — same Rng, same tensors.
-    cache.acquire(makeKey(0), synthAt(0));
-    EXPECT_EQ(synth_calls.load(), 3);
-    auto again = cache.acquire(makeKey(1), synthAt(1));
-    EXPECT_EQ(synth_calls.load(), 4);
     Rng rng(1001);
     LayerTensors direct = ModelZoo::synthesize(model, layer, 0.5, rng);
-    EXPECT_EQ(again->tensors.acts.maxAbsDiff(direct.acts), 0.0f);
-    EXPECT_EQ(again->tensors.weights.maxAbsDiff(direct.weights), 0.0f);
-    EXPECT_EQ(again->tensors.grads.maxAbsDiff(direct.grads), 0.0f);
+    EXPECT_EQ(first->tensors.acts.maxAbsDiff(direct.acts), 0.0f);
+    EXPECT_EQ(first->tensors.weights.maxAbsDiff(direct.weights), 0.0f);
+    EXPECT_EQ(first->tensors.grads.maxAbsDiff(direct.grads), 0.0f);
+    EXPECT_EQ(first->act_sparsity, direct.acts.sparsity());
+    EXPECT_EQ(first->weight_sparsity, direct.weights.sparsity());
+    EXPECT_EQ(first->grad_sparsity, direct.grads.sparsity());
 
-    const SynthCounters c = cache.counters();
-    EXPECT_EQ(c.keys, 4u);   // three keys + one re-synthesis
-    EXPECT_EQ(c.reuses, 2u); // the two warm re-acquisitions of key 0
-
-    // A budget below one entry keeps nothing resident but still
-    // serves every acquisition.
-    cache.setBudgetBytes(1);
+    // The last release drops the entry; acquired pointers stay valid.
+    cache.release(key);
+    EXPECT_EQ(cache.entryCount(), 1u);
+    cache.release(key);
     EXPECT_EQ(cache.entryCount(), 0u);
-    auto v = cache.acquire(makeKey(5), synthAt(5));
-    ASSERT_NE(v, nullptr);
-    EXPECT_LE(cache.residentBytes(), 1u);
+    EXPECT_EQ(cache.residentBytes(), 0u);
+    EXPECT_EQ(first->tensors.acts.maxAbsDiff(direct.acts), 0.0f);
+
+    // A later reader synthesizes afresh.
+    cache.retain(key);
+    cache.acquire(key, synth);
+    cache.release(key);
+    EXPECT_EQ(synth_calls.load(), 2);
+    EXPECT_EQ(cache.entryCount(), 0u);
+
+    // A reader that never retained fails loudly instead of leaking or
+    // freeing another reader's slot.
+    setLogThrowMode(true);
+    EXPECT_THROW(cache.acquire(key, synth), SimError);
+    EXPECT_THROW(cache.release(key), SimError);
+    setLogThrowMode(false);
+}
+
+TEST(SynthCacheTest, SweepsLeaveNothingResident)
+{
+    SweepSpec spec;
+    spec.models = tinyModels();
+    spec.progress_points = {0.5};
+    spec.axes = {rowsAxis({2, 4}),
+                 axis("tiles", {1, 2}, [](RunConfig &c, int t) {
+                     c.accel.tiles = t;
+                 })};
+
+    // Cold two-axis sweep.
+    const SynthCounters before = SynthCache::shared().counters();
+    ModelRunner(specConfig(9600)).runSweep(spec);
+    EXPECT_GT(SynthCache::shared().counters().keys, before.keys);
+    expectNothingResident("cold two-axis sweep");
+
+    // Widening an axis of a finished sweep with the memo on: the old
+    // variants hit on every cell and release without acquiring, the
+    // new one synthesizes its own tensors.
+    RunConfig memo = specConfig(9650);
+    memo.cache = true;
+    SweepSpec narrow = spec;
+    narrow.axes = {rowsAxis({2, 4})};
+    ModelRunner(memo).runSweep(narrow);
+    SweepSpec wide = narrow;
+    wide.axes = {rowsAxis({2, 4, 8})};
+    const SynthCounters mid = SynthCache::shared().counters();
+    SweepResult widened = ModelRunner(memo).runSweep(wide);
+    EXPECT_EQ(widened.cache_hits, 2 * widened.cellCount() / 3);
+    EXPECT_EQ(SynthCache::shared().counters().keys - mid.keys, 5u);
+    EXPECT_EQ(SynthCache::shared().counters().reuses, mid.reuses);
+    expectNothingResident("widened sweep");
+
+    // A sweep cancelled from its progress hook: the skipped tasks
+    // release their uses too.
+    for (int threads : {1, 4}) {
+        RunConfig c = specConfig(9700);
+        c.threads = threads;
+        std::atomic<bool> cancel{false};
+        RunHooks hooks;
+        hooks.cancel = &cancel;
+        hooks.progress = [&](const SweepProgress &) { cancel = true; };
+        SweepResult partial = ModelRunner(c).runSweep(spec, {}, hooks);
+        if (threads == 1) {
+            EXPECT_EQ(partial.presentCount(), 1u);
+        }
+        expectNothingResident("cancelled sweep");
+    }
 }
 
 TEST(SynthCacheTest, CustomHookSweepsKeyOnSalt)
@@ -378,7 +417,6 @@ TEST(SynthCacheTest, CustomHookSweepsKeyOnSalt)
         return spec;
     };
 
-    SynthCache::shared().clear();
     const SynthCounters before = SynthCache::shared().counters();
     runner.runSweep(makeSpec(11));
     // 2 variants x 2 layers, one hook call per unique cell.
