@@ -43,23 +43,33 @@ static_assert(kMaxPhaseOps <= 8,
               "present masks hold at most 8 op cells per slot");
 
 /**
- * Fully expanded description of one task grid, borrowed from the
- * caller for the duration of a run: the shared model/point lists plus
- * one effective RunConfig and label per config variant.  runMany()
- * supplies a single base variant; runSweep() materialises the cross
- * product of its spec's axes.
+ * One fully expanded sweep grid: the spec's models and synthesis hook
+ * (borrowed), plus the resolved progress points and one effective
+ * RunConfig and label per config variant (owned).  Every entry point
+ * builds one; the units of a GridEnumeration point into its configs,
+ * so a Grid must outlive every enumeration made from it.
  */
-struct GridLayout
+struct Grid
 {
-    std::span<const ModelProfile> models;
-    std::span<const double> points;
-    std::span<const RunConfig> variant_configs;
-    std::span<const std::string> variant_labels;
+    const SweepSpec &spec;
+    std::vector<double> points;
+    std::vector<RunConfig> configs;
+    std::vector<std::string> labels;
 
-    /** Custom synthesis hook (null = ModelZoo::synthesize). */
-    const SweepSpec::SynthesizeFn *synthesize = nullptr;
-    uint64_t synthesis_salt = 0;
-    bool estimate_out_sparsity = true;
+    Grid(const SweepSpec &s, const RunConfig &base) : spec(s)
+    {
+        spec.validate();
+        points = spec.progress_points.empty()
+            ? std::vector<double>{base.progress}
+            : spec.progress_points;
+        const size_t nvariants = spec.variantCount();
+        configs.reserve(nvariants);
+        labels.reserve(nvariants);
+        for (size_t v = 0; v < nvariants; ++v) {
+            configs.push_back(spec.variantConfig(base, v));
+            labels.push_back(spec.variantLabel(v));
+        }
+    }
 };
 
 /**
@@ -73,7 +83,6 @@ struct SweepUnit
     const ModelProfile *model = nullptr;
     const RunConfig *config = nullptr; ///< the variant's effective config
     double progress = 0.0;
-    size_t first_task = 0; ///< offset of this unit in the task grid
     const std::vector<Rng> *layer_rngs = nullptr;
 };
 
@@ -91,19 +100,14 @@ struct SimTask
     size_t layer;
 
     /** Position in the serial (unit, layer) grid: where results land,
-     * fixed before tasks are filtered to a shard and reordered for
-     * load balancing. */
+     * fixed before tasks are filtered to the owned cells and reordered
+     * for load balancing. */
     size_t slot;
 
-    /** Offset of this layer's first op cell in the flattened per-op
-     * key array (variants can differ in op count, so cell offsets are
-     * not a multiple of the slot). */
+    /** Index of this layer's first op cell in the enumeration's cell
+     * list (variants can differ in op count, so cell offsets are not a
+     * multiple of the slot). */
     size_t first_cell;
-
-    /** Content id of this layer's synthesized tensors (SynthKey) —
-     * geometry variants of one (model, progress, layer) cell share it,
-     * which is what lets them share one synthesis. */
-    uint64_t synth_key;
 
     /** Estimated cost of simulating this task under its variant's
      * effective config (claim-order sort key): the closed-form
@@ -164,9 +168,10 @@ synthesizeLayer(const SweepUnit &unit, size_t layer)
  * tensors and their pre-measured sparsities.
  */
 void
-simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
-                const SimTask &task, std::span<const TrainOp> ops,
-                uint32_t missing, LayerResult *out)
+simulateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
+                const SimTask &task, SynthKey synth_key,
+                std::span<const TrainOp> ops, uint32_t missing,
+                LayerResult *out)
 {
     const RunConfig &config = *unit.config;
     AcceleratorConfig accel_cfg = config.accel;
@@ -174,13 +179,13 @@ simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
     Accelerator accel(accel_cfg);
 
     auto synth = [&] {
-        return grid.synthesize
-            ? (*grid.synthesize)(config, *unit.model, task.layer,
-                                 unit.progress)
+        return spec.synthesize
+            ? spec.synthesize(config, *unit.model, task.layer,
+                              unit.progress)
             : synthesizeLayer(unit, task.layer);
     };
     std::shared_ptr<const SynthTensors> st =
-        SynthCache::shared().acquire(SynthKey{task.synth_key}, synth);
+        SynthCache::shared().acquire(synth_key, synth);
     const LayerTensors &t = st->tensors;
     if (config.accel.power_gating) {
         // Observe -> freeze: decisions are immutable before any op of
@@ -196,7 +201,7 @@ simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
     // is dense.  Raw-tensor sweeps (estimate_out_sparsity false) write
     // back dense instead.
     double out_sparsity[3] = {0.0, 0.0, 0.0};
-    if (grid.estimate_out_sparsity) {
+    if (spec.estimate_out_sparsity) {
         out_sparsity[(int)TrainOp::Forward] = st->act_sparsity;
         out_sparsity[(int)TrainOp::BackwardData] = st->grad_sparsity;
     }
@@ -226,7 +231,7 @@ simulateTaskOps(const GridLayout &grid, const SweepUnit &unit,
  * cells memoise per TaskKey exactly the same way.
  */
 void
-estimateTaskOps(const GridLayout &grid, const SweepUnit &unit,
+estimateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
                 const SimTask &task, std::span<const TrainOp> ops,
                 uint32_t missing, LayerResult *out)
 {
@@ -237,7 +242,7 @@ estimateTaskOps(const GridLayout &grid, const SweepUnit &unit,
     CellSparsity sp =
         effectiveCellSparsity(model, task.layer, unit.progress);
     double out_sparsity[3] = {0.0, 0.0, 0.0};
-    if (grid.estimate_out_sparsity) {
+    if (spec.estimate_out_sparsity) {
         out_sparsity[(int)TrainOp::Forward] = sp.act;
         out_sparsity[(int)TrainOp::BackwardData] = sp.grad;
     }
@@ -252,91 +257,45 @@ estimateTaskOps(const GridLayout &grid, const SweepUnit &unit,
 }
 
 /**
- * Content hash of one task grid: format version, variant labels,
- * model names/layer counts, progress points, and every cell's TaskKey
- * in serial (variant, model, progress, layer) order.  Shards merge
- * only when their fingerprints match, and the bench merge driver
- * checks loaded shard files against the expected grid's fingerprint.
- * A variant's phase shapes the fingerprint through its cell keys (an
- * inference variant contributes Forward keys only), so a training and
- * an inference sweep never merge even though they share cells.
- *
- * @param keys the grid's per-op cell keys in serial order when the
- *        caller already computed them (runGrid); null recomputes them
- *        (the simulation-free sweepFingerprint path).
- */
-uint64_t
-gridFingerprint(const GridLayout &grid,
-                const std::vector<TaskKey> *keys = nullptr)
-{
-    FnvHasher fh;
-    fh.u64(kResultFormatVersion);
-    for (const std::string &label : grid.variant_labels)
-        fh.str(label);
-    for (const ModelProfile &model : grid.models) {
-        fh.str(model.name);
-        fh.u64(model.layers.size());
-    }
-    for (double p : grid.points)
-        fh.f64(p);
-    if (keys) {
-        for (const TaskKey &k : *keys)
-            fh.u64(k.value);
-        return fh.value();
-    }
-    for (const RunConfig &config : grid.variant_configs)
-        for (const ModelProfile &model : grid.models)
-            for (double progress : grid.points)
-                for (size_t l = 0; l < model.layers.size(); ++l)
-                    for (TrainOp op : phaseOps(config.phase))
-                        fh.u64(TaskKey::forOp(
-                                   config, model, l, op, progress,
-                                   grid.synthesis_salt,
-                                   grid.estimate_out_sparsity)
-                                   .value);
-    return fh.value();
-}
-
-/**
  * Fully enumerated task grid: the serial layout pass shared by
- * execution (runGrid) and planning (ModelRunner::planSweep).  Owns
- * the storage its SweepUnits point into (forked Rng streams and
- * batch-overridden model copies), so units must not outlive it.
+ * execution (runGrid), planning (ModelRunner::planSweep) and
+ * fingerprinting.  Owns the storage its SweepUnits point into (forked
+ * Rng streams and batch-overridden model copies), so units must not
+ * outlive it; they also point into the Grid's configs, so neither may
+ * the Grid.
  */
 struct GridEnumeration
 {
     std::vector<std::vector<Rng>> grid_rngs;
     std::vector<ModelProfile> batch_models;
     std::vector<SweepUnit> units;
+
+    /** One task per layer slot, in serial slot order. */
     std::vector<SimTask> tasks;
-    std::vector<TaskKey> keys;
 
-    /** Per-op estimated simulation cost of every cell, in key order. */
-    std::vector<double> cell_costs;
-
-    /** Synthesis volume charged per slot (0 for reusers of an
-     * already-charged SynthKey). */
-    std::vector<double> task_synth_costs;
+    /** Every op cell in serial order (cells[i].cell == i): the plan
+     * planSweep() returns, with its costs filled by priceGrid(). */
+    std::vector<GridCellInfo> cells;
 };
 
 /**
  * Lay out the (variant x model x progress x layer) task grid and
  * fingerprint every (layer, op) cell under its variant's effective
- * config and phase.  Keys and claim costs are computed serially up
- * front: they are cheap relative to simulation and the sweep
- * fingerprint needs every key.  Only the first task of each SynthKey
- * pays synthesis: its geometry siblings reuse the tensors.
+ * config and phase.  Keys are computed serially up front: they are
+ * cheap relative to simulation and the sweep fingerprint needs every
+ * one.  Costs stay 0 until priceGrid().
  */
 GridEnumeration
-enumerateGrid(const GridLayout &grid)
+enumerateGrid(const Grid &grid)
 {
     GridEnumeration e;
+    const std::vector<ModelProfile> &models = grid.spec.models;
 
     // Full structural validation (positive shapes, well-formed output
     // geometry), not just non-emptiness: a bad layer spec fails here
     // with its model and layer named instead of deep in synthesis or
     // lowering.
-    for (const ModelProfile &model : grid.models)
+    for (const ModelProfile &model : models)
         model.validate();
 
     // Fork the per-layer streams in serial layer order, which makes
@@ -344,10 +303,9 @@ enumerateGrid(const GridLayout &grid)
     // (variant, model): an axis may move the seed, and every variant's
     // streams must match what a single-variant run of its config
     // forks.
-    e.grid_rngs.reserve(grid.variant_configs.size() *
-                        grid.models.size());
-    for (const RunConfig &config : grid.variant_configs) {
-        for (const ModelProfile &model : grid.models) {
+    e.grid_rngs.reserve(grid.configs.size() * models.size());
+    for (const RunConfig &config : grid.configs) {
+        for (const ModelProfile &model : models) {
             Rng rng(config.seed * 0x2545f4914f6cdd1dull + 1);
             std::vector<Rng> layer_rngs;
             layer_rngs.reserve(model.layers.size());
@@ -363,76 +321,49 @@ enumerateGrid(const GridLayout &grid)
     // own).  Storage is reserved exactly, so the units' model
     // pointers stay valid as it fills.
     size_t overridden = 0;
-    for (const RunConfig &config : grid.variant_configs)
+    for (const RunConfig &config : grid.configs)
         if (config.batch_override > 0)
-            for (const ModelProfile &model : grid.models)
+            for (const ModelProfile &model : models)
                 overridden += config.batch_override != model.batch;
     e.batch_models.reserve(overridden);
 
-    // SynthKeys whose synthesis cost has been charged to a task:
-    // geometry variants share keys, and only the first task of a key
-    // actually synthesizes.
-    std::unordered_set<uint64_t> charged_synth;
-    for (size_t v = 0; v < grid.variant_configs.size(); ++v) {
-        const RunConfig &config = grid.variant_configs[v];
+    const uint64_t salt = grid.spec.synthesis_salt;
+    for (size_t v = 0; v < grid.configs.size(); ++v) {
+        const RunConfig &config = grid.configs[v];
         std::span<const TrainOp> ops = phaseOps(config.phase);
-        const bool estimate = config.fidelity == Fidelity::Estimate;
-        for (size_t m = 0; m < grid.models.size(); ++m) {
-            const ModelProfile *model = &grid.models[m];
+        for (size_t m = 0; m < models.size(); ++m) {
+            const ModelProfile *model = &models[m];
             if (config.batch_override > 0 &&
                 config.batch_override != model->batch) {
                 e.batch_models.push_back(*model);
                 e.batch_models.back().batch = config.batch_override;
                 model = &e.batch_models.back();
             }
-            AcceleratorConfig accel_cfg = config.accel;
-            accel_cfg.wg_side = model->wg_side;
             for (double progress : grid.points) {
                 SweepUnit unit;
                 unit.model = model;
                 unit.config = &config;
                 unit.progress = progress;
-                unit.first_task = e.tasks.size();
-                unit.layer_rngs =
-                    &e.grid_rngs[v * grid.models.size() + m];
+                unit.layer_rngs = &e.grid_rngs[v * models.size() + m];
                 for (size_t l = 0; l < model->layers.size(); ++l) {
-                    CellSparsity sp =
-                        effectiveCellSparsity(*model, l, progress);
-                    uint64_t skey =
-                        SynthKey::forCell(config, grid.models[m], l,
-                                          progress,
-                                          grid.synthesis_salt)
+                    const size_t slot = e.tasks.size();
+                    e.tasks.push_back(
+                        {e.units.size(), l, slot, e.cells.size(), 0.0});
+                    const uint64_t skey =
+                        SynthKey::forCell(config, models[m], l,
+                                          progress, salt)
                             .value;
-                    // Estimate-tier tasks never synthesize; exact
-                    // tasks pay synthesis once per key (every reuser
-                    // rides the first task's tensors).
-                    double synth_cost = 0.0;
-                    if (!estimate && charged_synth.insert(skey).second)
-                        synth_cost = synthesisCost(model->layers[l],
-                                                   model->batch);
-                    double cost = synth_cost;
-                    for (TrainOp op : ops) {
-                        // An estimate cell costs one closed-form
-                        // evaluation whatever its layer, about as much
-                        // as pricing its simulation would: it gets a
-                        // unit cost instead.
-                        double op_cost = estimate
-                            ? 1.0
-                            : OpEstimator::estimateSimCost(
-                                  accel_cfg, model->layers[l],
-                                  model->batch, op, sp);
-                        e.cell_costs.push_back(op_cost);
-                        cost += op_cost;
+                    for (size_t j = 0; j < ops.size(); ++j) {
+                        GridCellInfo c;
+                        c.slot = slot;
+                        c.op_index = (uint32_t)j;
+                        c.cell = e.cells.size();
+                        c.key = TaskKey::forOp(
+                            config, models[m], l, ops[j], progress, salt,
+                            grid.spec.estimate_out_sparsity);
+                        c.synth_key = skey;
+                        e.cells.push_back(c);
                     }
-                    e.task_synth_costs.push_back(synth_cost);
-                    e.tasks.push_back({e.units.size(), l,
-                                       e.tasks.size(), e.keys.size(),
-                                       skey, cost});
-                    for (TrainOp op : ops)
-                        e.keys.push_back(TaskKey::forOp(
-                            config, grid.models[m], l, op, progress,
-                            grid.synthesis_salt,
-                            grid.estimate_out_sparsity));
                 }
                 e.units.push_back(unit);
             }
@@ -442,106 +373,161 @@ enumerateGrid(const GridLayout &grid)
 }
 
 /**
- * Simulate one fully expanded task grid: the shared engine behind
- * runMany(), runSweep() and runSweepCells().  @p exec supplies the
- * execution knobs (threads, cache, cache_dir); what is simulated
- * comes entirely from @p grid's per-variant configs.  Ownership comes
- * from @p shard (modulo partition over layer slots) or — when
- * @p cell_mode — from @p cells, global op-cell indices that may split
- * one layer slot across runs.
+ * Fill every cell's est_cost/synth_cost and every task's claim cost.
+ * Only the first task of each SynthKey pays synthesis: its geometry
+ * siblings reuse the tensors.
+ */
+void
+priceGrid(GridEnumeration *e)
+{
+    // SynthKeys whose synthesis cost has been charged to a task:
+    // geometry variants share keys, and only the first task of a key
+    // actually synthesizes.
+    std::unordered_set<uint64_t> charged_synth;
+    for (SimTask &task : e->tasks) {
+        const SweepUnit &unit = e->units[task.unit];
+        const ModelProfile &model = *unit.model;
+        const LayerSpec &layer = model.layers[task.layer];
+        std::span<const TrainOp> ops = phaseOps(unit.config->phase);
+        GridCellInfo *cells = &e->cells[task.first_cell];
+        const bool estimate =
+            unit.config->fidelity == Fidelity::Estimate;
+        AcceleratorConfig accel_cfg = unit.config->accel;
+        accel_cfg.wg_side = model.wg_side;
+        CellSparsity sp =
+            effectiveCellSparsity(model, task.layer, unit.progress);
+        // Estimate-tier tasks never synthesize; exact tasks pay
+        // synthesis once per key (every reuser rides the first task's
+        // tensors).
+        if (!estimate && charged_synth.insert(cells[0].synth_key).second)
+            cells[0].synth_cost = synthesisCost(layer, model.batch);
+        task.est_cost = cells[0].synth_cost;
+        for (size_t j = 0; j < ops.size(); ++j) {
+            // An estimate cell costs one closed-form evaluation
+            // whatever its layer, about as much as pricing its
+            // simulation would: it gets a unit cost instead.
+            cells[j].est_cost = estimate
+                ? 1.0
+                : OpEstimator::estimateSimCost(accel_cfg, layer,
+                                               model.batch, ops[j], sp);
+            task.est_cost += cells[j].est_cost;
+        }
+    }
+}
+
+/** Enumerate and price @p grid: everything a run or a plan needs. */
+GridEnumeration
+planGrid(const Grid &grid)
+{
+    GridEnumeration e = enumerateGrid(grid);
+    priceGrid(&e);
+    return e;
+}
+
+/**
+ * Content hash of one task grid: format version, variant labels,
+ * model names/layer counts, progress points, and every cell's TaskKey
+ * in serial (variant, model, progress, layer, op) order.  Shards merge
+ * only when their fingerprints match, and the bench merge driver
+ * checks loaded shard files against the expected grid's fingerprint.
+ * A variant's phase shapes the fingerprint through its cell keys (an
+ * inference variant contributes Forward keys only), so a training and
+ * an inference sweep never merge even though they share cells.
+ */
+uint64_t
+gridFingerprint(const Grid &grid, const GridEnumeration &e)
+{
+    FnvHasher fh;
+    fh.u64(kResultFormatVersion);
+    for (const std::string &label : grid.labels)
+        fh.str(label);
+    for (const ModelProfile &model : grid.spec.models) {
+        fh.str(model.name);
+        fh.u64(model.layers.size());
+    }
+    for (double p : grid.points)
+        fh.f64(p);
+    for (const GridCellInfo &c : e.cells)
+        fh.u64(c.key.value);
+    return fh.value();
+}
+
+/**
+ * Simulate the op cells @p cells (global serial cell indices) of one
+ * enumerated and priced grid: the one execution path behind
+ * runSweep(), runSweepCells() and runMany().  @p exec supplies the
+ * execution knobs (threads, cache, cache_dir); what is simulated comes
+ * entirely from @p grid's per-variant configs.
  */
 SweepResult
-runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
-        bool cell_mode, std::span<const size_t> cells,
-        const RunHooks &hooks)
+runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
+        std::span<const size_t> cells, const RunHooks &hooks)
 {
     // A negative thread count would silently degrade to "whole pool"
     // inside the pool sizing path; reject it here where the request
-    // was made.  Likewise an out-of-range shard would silently own
-    // zero cells.
+    // was made.
     TD_ASSERT(exec.threads >= 0,
               "RunConfig::threads must be >= 0 (0 = the shared pool "
               "default), got %d", exec.threads);
-    shard.validate();
-    if (cell_mode)
-        TD_ASSERT(shard.all(),
-                  "explicit cell ownership and shard partitioning "
-                  "are mutually exclusive");
-    for (const RunConfig &config : grid.variant_configs)
+    for (const RunConfig &config : grid.configs)
         TD_ASSERT(config.fidelity == Fidelity::Exact ||
-                      grid.synthesize == nullptr,
+                      !grid.spec.synthesize,
                   "Fidelity::Estimate models the zoo's synthesis "
                   "statistically and cannot honour a custom "
                   "synthesize hook; run this sweep at "
                   "Fidelity::Exact");
 
     SweepResult sweep;
-    sweep.progress_points.assign(grid.points.begin(),
-                                 grid.points.end());
-    sweep.memory_model = exec.accel.memory_model;
-    sweep.shard = shard;
-    for (size_t v = 0; v < grid.variant_configs.size(); ++v) {
-        sweep.variants.push_back(grid.variant_labels[v]);
-        sweep.variant_memory_models.push_back(
-            grid.variant_configs[v].accel.memory_model);
-        sweep.variant_phases.push_back(grid.variant_configs[v].phase);
+    sweep.progress_points = grid.points;
+    sweep.variants = grid.labels;
+    for (const RunConfig &config : grid.configs) {
+        sweep.variant_memory_models.push_back(config.accel.memory_model);
+        sweep.variant_phases.push_back(config.phase);
     }
-    for (const ModelProfile &model : grid.models) {
+    for (const ModelProfile &model : grid.spec.models) {
         sweep.models.push_back(model.name);
         sweep.model_layer_counts.push_back(
             (uint32_t)model.layers.size());
     }
 
-    GridEnumeration e = enumerateGrid(grid);
-    const std::vector<SweepUnit> &units = e.units;
-    const std::vector<SimTask> &tasks = e.tasks;
-    const std::vector<TaskKey> &keys = e.keys;
-
     // The sweep fingerprint pins the whole grid: shards merge only
     // when variants, models, points and every task key agree.
-    sweep.fingerprint = gridFingerprint(grid, &keys);
+    sweep.fingerprint = gridFingerprint(grid, e);
 
+    const std::vector<SimTask> &tasks = e.tasks;
     sweep.layer_results.resize(tasks.size());
     sweep.present.assign(tasks.size(), 0);
 
-    // Explicit cell ownership: fold the owned op-cell indices into
-    // per-slot masks (an adaptively split giant layer scatters its
+    // Fold the owned op cells into per-slot masks (a shard owns whole
+    // slots; the sweep service's planner may scatter a giant layer's
     // cells across runs); tasks whose mask stays empty are not owned
     // at all.
-    std::vector<uint8_t> own_mask;
-    if (cell_mode) {
-        own_mask.assign(tasks.size(), 0);
-        for (size_t c : cells) {
-            TD_ASSERT(c < keys.size(),
-                      "owned cell %zu out of range (grid has %zu op "
-                      "cells)", c, keys.size());
-            auto it = std::upper_bound(
-                tasks.begin(), tasks.end(), c,
-                [](size_t value, const SimTask &t) {
-                    return value < t.first_cell;
-                });
-            const SimTask &task = *std::prev(it);
-            own_mask[task.slot] |=
-                (uint8_t)(1u << (c - task.first_cell));
-        }
+    std::vector<uint8_t> own_mask(tasks.size(), 0);
+    for (size_t c : cells) {
+        TD_ASSERT(c < e.cells.size(),
+                  "owned cell %zu out of range (grid has %zu op cells)",
+                  c, e.cells.size());
+        own_mask[e.cells[c].slot] |=
+            (uint8_t)(1u << e.cells[c].op_index);
     }
 
-    // This shard's slice of the grid, claimed costliest-first so a
-    // huge layer picked up late cannot leave the pool tailing on one
+    // The owned slice of the grid, claimed costliest-first so a huge
+    // layer picked up late cannot leave the pool tailing on one
     // thread; tasks from every config variant interleave in the one
     // claim loop.  Results land in pre-assigned slots and the reduce
-    // walks serial order, so neither the shard split nor the claim
+    // walks serial order, so neither the ownership split nor the claim
     // order ever affects the output.
     std::vector<SimTask> owned;
-    owned.reserve(tasks.size() / shard.count + 1);
     for (const SimTask &task : tasks)
-        if (cell_mode ? own_mask[task.slot] != 0
-                      : shard.owns(task.slot))
+        if (own_mask[task.slot])
             owned.push_back(task);
     std::stable_sort(owned.begin(), owned.end(),
                      [](const SimTask &a, const SimTask &b) {
                          return a.est_cost > b.est_cost;
                      });
+    auto synthKey = [&](const SimTask &task) {
+        return SynthKey{e.cells[task.first_cell].synth_key};
+    };
 
     // Every owned exact task may read its layer's tensors, so each
     // holds one use of its SynthKey until it is done, on every path:
@@ -549,8 +535,8 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
     // nothing.
     SynthCache &synth_cache = SynthCache::shared();
     for (const SimTask &task : owned)
-        if (units[task.unit].config->fidelity == Fidelity::Exact)
-            synth_cache.retain(SynthKey{task.synth_key});
+        if (e.units[task.unit].config->fidelity == Fidelity::Exact)
+            synth_cache.retain(synthKey(task));
 
     ResultStore *store = exec.cache ? &ResultStore::shared() : nullptr;
     const std::string cache_dir =
@@ -571,7 +557,7 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
         owned.size(),
         [&](size_t i) {
             const SimTask &task = owned[i];
-            const SweepUnit &unit = units[task.unit];
+            const SweepUnit &unit = e.units[task.unit];
             const bool exact =
                 unit.config->fidelity == Fidelity::Exact;
             // Cancellation drains: tasks already simulating finish
@@ -581,14 +567,12 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
             if (hooks.cancel &&
                 hooks.cancel->load(std::memory_order_relaxed)) {
                 if (exact)
-                    synth_cache.release(SynthKey{task.synth_key});
+                    synth_cache.release(synthKey(task));
                 return;
             }
             std::span<const TrainOp> ops =
                 phaseOps(unit.config->phase);
-            const uint32_t want = cell_mode
-                ? own_mask[task.slot]
-                : (1u << ops.size()) - 1;
+            const uint32_t want = own_mask[task.slot];
             LayerResult &out = sweep.layer_results[task.slot];
             out.cells.resize(ops.size());
             uint32_t missing = 0;
@@ -597,7 +581,7 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
                 if (!(want & (1u << j)))
                     continue;
                 if (store &&
-                    store->lookup(keys[task.first_cell + j],
+                    store->lookup(e.cells[task.first_cell + j].key,
                                   &out.cells[j], cache_dir))
                     ++hits;
                 else
@@ -605,10 +589,10 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
             }
             if (missing) {
                 if (exact)
-                    simulateTaskOps(grid, unit, task, ops, missing,
-                                    &out);
+                    simulateTaskOps(grid.spec, unit, task,
+                                    synthKey(task), ops, missing, &out);
                 else
-                    estimateTaskOps(grid, unit, task, ops, missing,
+                    estimateTaskOps(grid.spec, unit, task, ops, missing,
                                     &out);
                 std::atomic<size_t> &produced =
                     exact ? simulated : estimated;
@@ -617,12 +601,12 @@ runGrid(const RunConfig &exec, const GridLayout &grid, Shard shard,
                         continue;
                     produced.fetch_add(1, std::memory_order_relaxed);
                     if (store)
-                        store->insert(keys[task.first_cell + j],
+                        store->insert(e.cells[task.first_cell + j].key,
                                       out.cells[j], cache_dir);
                 }
             }
             if (exact)
-                synth_cache.release(SynthKey{task.synth_key});
+                synth_cache.release(synthKey(task));
             cache_hits.fetch_add(hits, std::memory_order_relaxed);
             sweep.present[task.slot] = (uint8_t)want;
             if (hooks.progress) {
@@ -987,8 +971,7 @@ SweepResult::reduce()
             for (size_t p = 0; p < pointCount(); ++p) {
                 ModelRunResult result;
                 result.model = models[m];
-                result.memory_model = variant_memory_models.size() > v
-                    ? variant_memory_models[v] : memory_model;
+                result.memory_model = variant_memory_models[v];
                 result.ops.assign(ops.size(), OpResult{});
                 for (size_t i = 0; i < ops.size(); ++i)
                     result.ops[i].op = ops[i];
@@ -1047,10 +1030,8 @@ SweepResult::merge(const SweepResult &other)
     cache_hits += other.cache_hits;
     simulated += other.simulated;
     estimated += other.estimated;
-    if (complete()) {
-        shard = Shard{};
+    if (complete())
         reduce();
-    }
 }
 
 std::vector<uint8_t>
@@ -1060,7 +1041,6 @@ SweepResult::serialize() const
     w.u32(kSweepMagic);
     w.u32(kResultFormatVersion);
     w.u64(fingerprint);
-    w.u8((uint8_t)memory_model);
     w.u32((uint32_t)variants.size());
     for (size_t v = 0; v < variants.size(); ++v) {
         w.str(variants[v]);
@@ -1075,8 +1055,6 @@ SweepResult::serialize() const
     w.u32((uint32_t)progress_points.size());
     for (double p : progress_points)
         w.f64(p);
-    w.u32((uint32_t)shard.index);
-    w.u32((uint32_t)shard.count);
     w.u64(cache_hits);
     w.u64(simulated);
     w.u64(estimated);
@@ -1100,14 +1078,10 @@ SweepResult::deserialize(const std::vector<uint8_t> &bytes,
     ByteReader r(bytes);
     if (r.u32() != kSweepMagic || r.u32() != kResultFormatVersion)
         return false;
-    // Enum bytes are range-checked before the cast: an out-of-range
-    // memory model would otherwise panic later in memoryModelName().
     SweepResult s;
     s.fingerprint = r.u64();
-    uint8_t memory_model = r.u8();
-    if (memory_model > (uint8_t)MemoryModel::Pipelined)
-        return false;
-    s.memory_model = (MemoryModel)memory_model;
+    // Enum bytes are range-checked before the cast: an out-of-range
+    // memory model would otherwise panic later in memoryModelName().
     uint32_t nvariants = r.u32();
     for (uint32_t v = 0; r.ok() && v < nvariants; ++v) {
         s.variants.push_back(r.str());
@@ -1127,10 +1101,6 @@ SweepResult::deserialize(const std::vector<uint8_t> &bytes,
     uint32_t npoints = r.u32();
     for (uint32_t p = 0; r.ok() && p < npoints; ++p)
         s.progress_points.push_back(r.f64());
-    s.shard.index = r.u32();
-    s.shard.count = r.u32();
-    if (s.shard.count == 0 || s.shard.index >= s.shard.count)
-        return false; // Shard::validate() would reject it
     s.cache_hits = r.u64();
     s.simulated = r.u64();
     s.estimated = r.u64();
@@ -1194,84 +1164,25 @@ ModelRunner::runByName(const std::string &name) const
     return run(model);
 }
 
-namespace {
-
-/** Owned storage behind a spec's GridLayout: the resolved progress
- * points and every variant's effective config and label. */
-struct MaterializedSweep
-{
-    std::vector<double> points;
-    std::vector<RunConfig> configs;
-    std::vector<std::string> labels;
-
-    MaterializedSweep(const SweepSpec &spec, const RunConfig &base)
-    {
-        spec.validate();
-        points = spec.progress_points.empty()
-            ? std::vector<double>{base.progress}
-            : spec.progress_points;
-        const size_t nvariants = spec.variantCount();
-        configs.reserve(nvariants);
-        labels.reserve(nvariants);
-        for (size_t v = 0; v < nvariants; ++v) {
-            configs.push_back(spec.variantConfig(base, v));
-            labels.push_back(spec.variantLabel(v));
-        }
-    }
-
-    /** Layout borrowing this storage (must not outlive it). */
-    GridLayout
-    layout(const SweepSpec &spec) const
-    {
-        GridLayout grid;
-        grid.models = spec.models;
-        grid.points = points;
-        grid.variant_configs = configs;
-        grid.variant_labels = labels;
-        grid.synthesize =
-            spec.synthesize ? &spec.synthesize : nullptr;
-        grid.synthesis_salt = spec.synthesis_salt;
-        grid.estimate_out_sparsity = spec.estimate_out_sparsity;
-        return grid;
-    }
-};
-
-} // namespace
-
 SweepResult
 ModelRunner::runSweep(const SweepSpec &spec, Shard shard,
                       const RunHooks &hooks) const
 {
-    MaterializedSweep mat(spec, config_);
-    return runGrid(config_, mat.layout(spec), shard, false, {},
-                   hooks);
+    shard.validate();
+    Grid grid(spec, config_);
+    GridEnumeration e = planGrid(grid);
+    std::vector<size_t> cells;
+    for (const GridCellInfo &c : e.cells)
+        if (shard.owns(c.slot))
+            cells.push_back(c.cell);
+    return runGrid(config_, grid, e, cells, hooks);
 }
 
 std::vector<GridCellInfo>
 ModelRunner::planSweep(const SweepSpec &spec) const
 {
-    MaterializedSweep mat(spec, config_);
-    GridLayout grid = mat.layout(spec);
-    GridEnumeration e = enumerateGrid(grid);
-    std::vector<GridCellInfo> cells;
-    cells.reserve(e.keys.size());
-    for (const SimTask &task : e.tasks) {
-        const SweepUnit &unit = e.units[task.unit];
-        const size_t nops = phaseOps(unit.config->phase).size();
-        for (size_t j = 0; j < nops; ++j) {
-            GridCellInfo c;
-            c.slot = task.slot;
-            c.op_index = (uint32_t)j;
-            c.cell = task.first_cell + j;
-            c.key = e.keys[c.cell];
-            c.synth_key = task.synth_key;
-            c.est_cost = e.cell_costs[c.cell];
-            c.synth_cost =
-                j == 0 ? e.task_synth_costs[task.slot] : 0.0;
-            cells.push_back(c);
-        }
-    }
-    return cells;
+    Grid grid(spec, config_);
+    return planGrid(grid).cells;
 }
 
 SweepResult
@@ -1279,16 +1190,15 @@ ModelRunner::runSweepCells(const SweepSpec &spec,
                            std::span<const size_t> cells,
                            const RunHooks &hooks) const
 {
-    MaterializedSweep mat(spec, config_);
-    return runGrid(config_, mat.layout(spec), Shard{}, true, cells,
-                   hooks);
+    Grid grid(spec, config_);
+    return runGrid(config_, grid, planGrid(grid), cells, hooks);
 }
 
 uint64_t
 ModelRunner::sweepFingerprint(const SweepSpec &spec) const
 {
-    MaterializedSweep mat(spec, config_);
-    return gridFingerprint(mat.layout(spec));
+    Grid grid(spec, config_);
+    return gridFingerprint(grid, enumerateGrid(grid));
 }
 
 SweepResult
@@ -1331,18 +1241,11 @@ ModelRunner::runMany(std::span<const ModelProfile> models,
                      std::span<const double> progress_points,
                      Shard shard) const
 {
-    const std::vector<double> points = progress_points.empty()
-        ? std::vector<double>{config_.progress}
-        : std::vector<double>(progress_points.begin(),
-                              progress_points.end());
-    const std::string base_label; // single unlabelled base variant
-
-    GridLayout grid;
-    grid.models = models;
-    grid.points = points;
-    grid.variant_configs = std::span(&config_, 1);
-    grid.variant_labels = std::span(&base_label, 1);
-    return runGrid(config_, grid, shard, false, {}, {});
+    SweepSpec spec;
+    spec.models.assign(models.begin(), models.end());
+    spec.progress_points.assign(progress_points.begin(),
+                                progress_points.end());
+    return runSweep(spec, shard);
 }
 
 } // namespace tensordash

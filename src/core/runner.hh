@@ -57,13 +57,16 @@
  *    the N variants of a geometry axis synthesize each (model,
  *    progress, layer) cell once and share the tensors until the
  *    cell's last reader is done.
- *  - Sharding: runSweep()/runMany() accept a Shard{index, count} that
- *    deterministically partitions the task grid.  A partial
- *    SweepResult serializes to bytes, travels between
- *    processes/machines, and merge() reassembles the grid; because the
- *    final reduce always walks the same serial (layer, op) order over
- *    the same per-layer results, a merged run is bit-identical to a
- *    single-process one.
+ *  - Sharding: every run simulates a list of op cells of the grid
+ *    planSweep() enumerates.  runSweepCells() takes the list from an
+ *    external planner; runSweep()/runMany() derive it from a
+ *    Shard{index, count}, a filter that keeps the cells of every
+ *    layer slot congruent to index mod count.  A partial SweepResult
+ *    (described by its per-slot present masks alone) serializes to
+ *    bytes, travels between processes/machines, and merge()
+ *    reassembles the grid; because the final reduce always walks the
+ *    same serial (layer, op) order over the same per-layer results, a
+ *    merged run is bit-identical to a single-process one.
  */
 
 #include <array>
@@ -114,8 +117,12 @@ namespace tensordash {
  * counter-based generator (ModelZoo::synthesize) and the job sampler's
  * offset from CounterRng, so every cell's value moved; the bump keeps
  * v5 results out of v6 caches.
+ *
+ * v7: sweep headers dropped the shard index/count and the base memory
+ * model, which no reader used: a partial sweep is described by its
+ * present masks, and every variant carries its own memory model.
  */
-inline constexpr uint32_t kResultFormatVersion = 6;
+inline constexpr uint32_t kResultFormatVersion = 7;
 
 /**
  * Result fidelity tier of a run.
@@ -292,15 +299,15 @@ struct LayerResult
 
 /**
  * Deterministic partition of the (variant x model x progress x layer)
- * task grid: shard i of N owns every task whose serial grid slot is
- * congruent to i mod N.  The default {0, 1} owns the whole grid.
+ * task grid, applied as a filter over planSweep()'s cells: shard i of
+ * N owns every op cell whose layer slot is congruent to i mod N.  The
+ * default {0, 1} owns the whole grid.
  */
 struct Shard
 {
     size_t index = 0;
     size_t count = 1;
 
-    bool all() const { return count <= 1; }
     bool owns(size_t slot) const { return count <= 1 || slot % count == index; }
 
     /**
@@ -676,9 +683,6 @@ struct SweepResult
     /** Progress points simulated for every (variant, model). */
     std::vector<double> progress_points;
 
-    /** Memory model of the base configuration. */
-    MemoryModel memory_model = MemoryModel::Pipelined;
-
     /**
      * Content hash of the whole task grid (format version, variant
      * labels, models, points, every TaskKey).  Two sweeps merge only
@@ -686,10 +690,6 @@ struct SweepResult
      * the same simulations under the same configurations.
      */
     uint64_t fingerprint = 0;
-
-    /** Grid partition this sweep was simulated under ({0, 1} once
-     * complete). */
-    Shard shard;
 
     /** Raw per-layer task results in serial grid order (the unit of
      * sharding/caching); present[slot] is an op-cell bitmask (bit j =
@@ -778,8 +778,8 @@ struct SweepResult
     std::vector<uint8_t> serialize() const;
 
     /** Parse a serialize()d sweep; false on bad magic/version, a
-     * truncated or corrupt buffer, an out-of-range enum byte (memory
-     * model, phase, op) or an invalid shard. */
+     * truncated or corrupt buffer, or an out-of-range enum byte
+     * (memory model, phase, op). */
     static bool deserialize(const std::vector<uint8_t> &bytes,
                             SweepResult *out);
 
@@ -815,7 +815,8 @@ class ModelRunner
      *
      * @param spec  models, progress points and config axes
      * @param shard grid partition to simulate (default: the whole
-     *              grid).  A partial shard's sweep has no model-level
+     *              grid): the planSweep() cells of every slot it
+     *              owns().  A partial shard's sweep has no model-level
      *              results until merge()d with its siblings.
      * @param hooks optional progress callback and cancellation flag
      *              (execution-only; see RunHooks)
@@ -840,14 +841,15 @@ class ModelRunner
 
     /**
      * Simulate exactly the op cells named by @p cells (global serial
-     * cell indices from planSweep()) of @p spec's grid — the
-     * externally-planned companion of runSweep's modulo sharding,
-     * letting a scheduler place individual op cells of a giant layer
-     * on different workers.  The returned sweep carries the full
-     * grid's fingerprint with only the named cells present (an empty
-     * @p cells yields an all-absent shell to merge() worker shards
-     * into); merging any cell-disjoint cover of the grid is
-     * bit-identical to one unsharded runSweep().
+     * cell indices from planSweep()) of @p spec's grid, letting a
+     * scheduler place individual op cells of a giant layer on
+     * different workers.  runSweep() runs the same path with the cells
+     * its Shard owns, so runSweep(spec, shard) and runSweepCells() of
+     * that shard's cells serialize identically.  The returned sweep
+     * carries the full grid's fingerprint with only the named cells
+     * present (an empty @p cells yields an all-absent shell to merge()
+     * worker shards into); merging any cell-disjoint cover of the grid
+     * is bit-identical to one unsharded runSweep().
      */
     SweepResult runSweepCells(const SweepSpec &spec,
                               std::span<const size_t> cells,
@@ -865,9 +867,9 @@ class ModelRunner
     uint64_t sweepFingerprint(const SweepSpec &spec) const;
 
     /**
-     * Batch API, single-variant special case of runSweep(): simulate
-     * every model at every progress point under this runner's config
-     * alone.
+     * Batch API: runSweep() of a SweepSpec with no axes — every model
+     * at every progress point under this runner's config alone.  An
+     * empty @p models panics, as an empty SweepSpec does.
      *
      * @param models          workload profiles to simulate
      * @param progress_points training points; empty = the configured

@@ -1089,29 +1089,17 @@ TEST(ShardedSweep, DeserializeRejectsCorruptBuffers)
 
     EXPECT_FALSE(SweepResult::deserialize({}, &out));
 
-    // Header layout up to the shard fields: magic, version and
-    // fingerprint (16 bytes), memory model (16), variant count, the
-    // one variant's empty label, its memory model (25) and phase,
-    // model count, "tiny" with its layer count, point count and the
-    // one point, then shard index (55) and shard count (59).
-    const size_t kMemoryModel = 16, kVariantMemoryModel = 25,
-                 kShardIndex = 55, kShardCount = 59;
-    auto u32At = [&](size_t at) {
-        return std::vector<uint8_t>(bytes.begin() + at,
-                                    bytes.begin() + at + 4);
-    };
-    ASSERT_EQ(u32At(kShardIndex), (std::vector<uint8_t>{0, 0, 0, 0}));
-    ASSERT_EQ(u32At(kShardCount), (std::vector<uint8_t>{1, 0, 0, 0}));
-    for (size_t at : {kMemoryModel, kVariantMemoryModel}) {
-        bad = bytes;
-        bad[at] = 2; // one past MemoryModel::Pipelined
-        EXPECT_FALSE(SweepResult::deserialize(bad, &out)) << at;
-    }
+    // Header layout up to the one variant's enum bytes: magic, version
+    // and fingerprint (16 bytes), variant count, the variant's empty
+    // label, then its memory model (24) and phase (25).
+    const size_t kVariantMemoryModel = 24, kVariantPhase = 25;
+    ASSERT_EQ(bytes[kVariantMemoryModel], (uint8_t)cfg.accel.memory_model);
+    ASSERT_EQ(bytes[kVariantPhase], (uint8_t)WorkloadPhase::Training);
     bad = bytes;
-    bad[kShardCount] = 0; // shard 0 of 0
+    bad[kVariantMemoryModel] = 2; // one past MemoryModel::Pipelined
     EXPECT_FALSE(SweepResult::deserialize(bad, &out));
     bad = bytes;
-    bad[kShardIndex] = 1; // shard 1 of 1
+    bad[kVariantPhase] = 2; // one past WorkloadPhase::Inference
     EXPECT_FALSE(SweepResult::deserialize(bad, &out));
 }
 
@@ -1121,27 +1109,37 @@ TEST(ShardedSweep, DeserializeRejectsHugeDeclaredGrids)
     // grid size both 2^32-1) must be rejected by the bytes-present
     // bound before any allocation, not crash the merge driver with
     // bad_alloc.
-    ByteWriter w;
-    w.u32(0x57534454); // "TDSW" magic
-    w.u32(kResultFormatVersion);
-    w.u64(0);          // fingerprint
-    w.u8(0);           // memory model
-    w.u32(1);          // one variant
-    w.str("");         // variant label
-    w.u8(0);           // variant memory model
-    w.u8(0);           // variant phase (training)
-    w.u32(1);          // one model
-    w.str("evil");
-    w.u32(0xffffffffu); // layer count
-    w.u32(1);           // one progress point
-    w.f64(0.5);
-    w.u32(0);           // shard index
-    w.u32(1);           // shard count
-    w.u64(0);           // cache hits
-    w.u64(0);           // simulated
-    w.u32(0xffffffffu); // task count: matches 0xffffffff x 1 x 1
+    auto header = [](uint32_t layers) {
+        ByteWriter w;
+        w.u32(0x57534454); // "TDSW" magic
+        w.u32(kResultFormatVersion);
+        w.u64(0);          // fingerprint
+        w.u32(1);          // one variant
+        w.str("");         // variant label
+        w.u8(0);           // variant memory model
+        w.u8(0);           // variant phase (training)
+        w.u32(1);          // one model
+        w.str("evil");
+        w.u32(layers);     // layer count
+        w.u32(1);          // one progress point
+        w.f64(0.5);
+        w.u64(0);          // cache hits
+        w.u64(0);          // simulated
+        w.u64(0);          // estimated
+        w.u32(layers);     // task count: layers x 1 point x 1 variant
+        return w.data();
+    };
     SweepResult out;
-    EXPECT_FALSE(SweepResult::deserialize(w.data(), &out));
+    EXPECT_FALSE(SweepResult::deserialize(header(0xffffffffu), &out));
+
+    // Positive control: the same header declaring one layer, followed
+    // by its absent slot's mask byte, parses — so the rejection above
+    // is the grid bound, not a malformed header.
+    std::vector<uint8_t> one = header(1);
+    one.push_back(0);
+    ASSERT_TRUE(SweepResult::deserialize(one, &out));
+    EXPECT_EQ(out.taskCount(), 1u);
+    EXPECT_EQ(out.presentCellCount(), 0u);
 }
 
 TEST(ShardedSweep, MergeRejectsMismatchedSweeps)

@@ -217,10 +217,22 @@ TEST(SweepSpecTest, NWayShardMergeIsBitIdenticalAcrossAConfigAxis)
     ASSERT_EQ(full.variantCount(), 3u);
     EXPECT_EQ(runner.sweepFingerprint(spec), full.fingerprint);
 
+    const std::vector<GridCellInfo> plan = runner.planSweep(spec);
     for (size_t n : {2u, 3u}) {
         std::vector<SweepResult> shards;
-        for (size_t i = 0; i < n; ++i)
+        for (size_t i = 0; i < n; ++i) {
             shards.push_back(runner.runSweep(spec, Shard{i, n}));
+            // One ownership path: a Shard is a filter over the plan's
+            // cells, so the shard and the explicit list of its cells
+            // serialize byte for byte alike.
+            std::vector<size_t> cells;
+            for (const GridCellInfo &c : plan)
+                if (c.slot % n == i)
+                    cells.push_back(c.cell);
+            EXPECT_EQ(shards.back().serialize(),
+                      runner.runSweepCells(spec, cells).serialize())
+                << "shard " << i << "/" << n;
+        }
         for (const SweepResult &s : shards) {
             EXPECT_FALSE(s.complete());
             EXPECT_TRUE(s.results.empty());
@@ -357,6 +369,8 @@ TEST(SweepSpecTest, MalformedSpecsAreRejected)
 
     SweepSpec no_models;
     EXPECT_THROW(runner.runSweep(no_models), SimError);
+    // runMany is a no-axes runSweep, so it rejects the same input.
+    EXPECT_THROW(runner.runMany(std::vector<ModelProfile>{}), SimError);
 
     SweepSpec empty_axis;
     empty_axis.models = {tinyModel()};
