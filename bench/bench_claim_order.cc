@@ -167,14 +167,9 @@ main(int argc, char **argv)
             t.ms_synth = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-            for (TrainOp op : phaseOps(WorkloadPhase::Training)) {
-                if (layer.fc)
-                    accel.runFcOp(op, tensors.acts, tensors.weights,
-                                  tensors.grads, 0.0);
-                else
-                    accel.runConvOp(op, tensors.acts, tensors.weights,
-                                    tensors.grads, tensors.spec, 0.0);
-            }
+            for (TrainOp op : phaseOps(WorkloadPhase::Training))
+                accel.runConvOp(op, tensors.acts, tensors.weights,
+                                tensors.grads, tensors.spec, 0.0);
             t.ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();

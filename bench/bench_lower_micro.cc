@@ -66,6 +66,7 @@ zooLayer(bool fc)
     return fc ? matmul : conv;
 }
 
+/** Lower @p op as the simulator does: an FC layer is a 1x1 conv. */
 LoweredOp
 lower(const Dataflow &df, const ZooLayer &layer, TrainOp op)
 {
@@ -73,17 +74,12 @@ lower(const Dataflow &df, const ZooLayer &layer, TrainOp op)
     int k = layer.spec.kernel;
     switch (op) {
       case TrainOp::Forward:
-        return layer.spec.fc ? df.lowerFcForward(t.acts, t.weights)
-                             : df.lowerForward(t.acts, t.weights, t.spec);
+        return df.lowerForward(t.acts, t.weights, t.spec);
       case TrainOp::BackwardData:
-        return layer.spec.fc
-            ? df.lowerFcBackwardData(t.grads, t.weights, t.acts.shape())
-            : df.lowerBackwardData(t.grads, t.weights, t.acts.shape(),
-                                   t.spec);
+        return df.lowerBackwardData(t.grads, t.weights, t.acts.shape(),
+                                    t.spec);
       case TrainOp::BackwardWeights:
-        return layer.spec.fc
-            ? df.lowerFcBackwardWeights(t.grads, t.acts)
-            : df.lowerBackwardWeights(t.grads, t.acts, k, k, t.spec);
+        return df.lowerBackwardWeights(t.grads, t.acts, k, k, t.spec);
     }
     return {};
 }

@@ -87,8 +87,9 @@ main()
     cfg.fwd_side = FwdSide::Auto; // weights are the sparser side
     Accelerator accel(cfg);
     Tensor no_grads(1, 1, 1, 1);
-    OpResult r = accel.runFcOp(TrainOp::Forward, acts, weights,
-                               no_grads);
+    // An FC layer runs as the stride-1, unpadded 1x1 convolution.
+    OpResult r = accel.runConvOp(TrainOp::Forward, acts, weights,
+                                 no_grads, ConvSpec{1, 0});
     std::printf("inference speedup on this layer: %.2fx (potential "
                 "%.2fx)\n",
                 r.speedup(), r.potentialSpeedup());

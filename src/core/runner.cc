@@ -205,17 +205,13 @@ simulateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
         out_sparsity[(int)TrainOp::Forward] = st->act_sparsity;
         out_sparsity[(int)TrainOp::BackwardData] = st->grad_sparsity;
     }
-    const LayerSpec &layer = unit.model->layers[task.layer];
     for (size_t j = 0; j < ops.size(); ++j) {
         if (!(missing & (1u << j)))
             continue;
         TrainOp op = ops[j];
         OpCellResult &cell = out->cells[j];
-        cell.op = layer.fc
-            ? accel.runFcOp(op, t.acts, t.weights, t.grads,
-                            out_sparsity[(int)op])
-            : accel.runConvOp(op, t.acts, t.weights, t.grads, t.spec,
-                              out_sparsity[(int)op]);
+        cell.op = accel.runConvOp(op, t.acts, t.weights, t.grads, t.spec,
+                                  out_sparsity[(int)op]);
         cell.energy_base = accel.energy(cell.op, false);
         cell.energy_td = accel.energy(cell.op, true);
     }

@@ -500,7 +500,7 @@ deserializeCells(const std::vector<uint8_t> &bytes,
 {
     ByteReader r(bytes);
     uint64_t n = r.u64();
-    if (!r.ok() || n * 8 != r.remaining())
+    if (!r.ok() || n > r.remaining() / 8 || n * 8 != r.remaining())
         return false;
     out->clear();
     out->reserve(n);

@@ -137,8 +137,6 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
 {
     Dataflow dataflow(config_.dataflow(false));
     LoweredOp lowered;
-    uint64_t in0_nz = 0, in0_total = 0, in1_nz = 0, in1_total = 0;
-    uint64_t out_total = 0;
     uint64_t transposed = 0;
     GateOperand gate = GateOperand::None;
 
@@ -146,11 +144,6 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
       case TrainOp::Forward:
         lowered = dataflow.lowerForward(acts, weights, spec,
                                         config_.fwd_side);
-        in0_nz = acts.nonzeros();
-        in0_total = acts.size();
-        in1_nz = weights.nonzeros();
-        in1_total = weights.size();
-        out_total = lowered.out_shape.size();
         gate = lowered.b_is_default_side ? GateOperand::Acts
                                          : GateOperand::Weights;
         break;
@@ -158,11 +151,6 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
         lowered = dataflow.lowerBackwardData(out_grads, weights,
                                              acts.shape(), spec,
                                              config_.bwd_data_side);
-        in0_nz = out_grads.nonzeros();
-        in0_total = out_grads.size();
-        in1_nz = weights.nonzeros();
-        in1_total = weights.size();
-        out_total = lowered.out_shape.size();
         // The reconstructed filters pass through the transposers.
         transposed = weights.size();
         gate = lowered.b_is_default_side ? GateOperand::Grads
@@ -172,11 +160,6 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
         lowered = dataflow.lowerBackwardWeights(
             out_grads, acts, weights.shape().h, weights.shape().w, spec,
             config_.wg_side);
-        in0_nz = out_grads.nonzeros();
-        in0_total = out_grads.size();
-        in1_nz = acts.nonzeros();
-        in1_total = acts.size();
-        out_total = lowered.out_shape.size();
         // Gradients are re-bundled per filter (transposed layout).
         transposed = out_grads.size();
         gate = lowered.wg_b_is_gradients ? GateOperand::Grads
@@ -184,116 +167,49 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
         break;
     }
 
+    // Operands streamed in: A or GO, then W or A.
+    const Tensor &in0 = op == TrainOp::Forward ? acts : out_grads;
+    const Tensor &in1 = op == TrainOp::BackwardWeights ? acts : weights;
+    OpTraffic traffic{.in0_nz = in0.nonzeros(), .in0_total = in0.size(),
+                      .in1_nz = in1.nonzeros(), .in1_total = in1.size(),
+                      .out_total = lowered.out_shape.size(),
+                      .transposed = transposed};
     OpResult result = runOp(lowered, gate);
-    applyMemory(result, memoryDemand(in0_nz, in0_total, in1_nz,
-                                     in1_total, out_total, out_sparsity,
-                                     transposed));
+    chargeOffChip(config_, traffic, out_sparsity, result);
     return result;
-}
-
-OpResult
-Accelerator::runFcOp(TrainOp op, const Tensor &acts,
-                     const Tensor &weights, const Tensor &out_grads,
-                     double out_sparsity) const
-{
-    Dataflow dataflow(config_.dataflow(false));
-    LoweredOp lowered;
-    uint64_t in0_nz = 0, in0_total = 0, in1_nz = 0, in1_total = 0;
-    uint64_t out_total = 0;
-    uint64_t transposed = 0;
-    GateOperand gate = GateOperand::None;
-
-    // Operand accounting mirrors runConvOp: an FC layer moves the same
-    // tensors, only the lowering skips the spatial index math.
-    switch (op) {
-      case TrainOp::Forward:
-        lowered = dataflow.lowerFcForward(acts, weights,
-                                          config_.fwd_side);
-        in0_nz = acts.nonzeros();
-        in0_total = acts.size();
-        in1_nz = weights.nonzeros();
-        in1_total = weights.size();
-        out_total = lowered.out_shape.size();
-        gate = lowered.b_is_default_side ? GateOperand::Acts
-                                         : GateOperand::Weights;
-        break;
-      case TrainOp::BackwardData:
-        lowered = dataflow.lowerFcBackwardData(out_grads, weights,
-                                               acts.shape(),
-                                               config_.bwd_data_side);
-        in0_nz = out_grads.nonzeros();
-        in0_total = out_grads.size();
-        in1_nz = weights.nonzeros();
-        in1_total = weights.size();
-        out_total = lowered.out_shape.size();
-        // The transposed weight matrix passes through the transposers.
-        transposed = weights.size();
-        gate = lowered.b_is_default_side ? GateOperand::Grads
-                                         : GateOperand::Weights;
-        break;
-      case TrainOp::BackwardWeights:
-        lowered = dataflow.lowerFcBackwardWeights(out_grads, acts,
-                                                  config_.wg_side);
-        in0_nz = out_grads.nonzeros();
-        in0_total = out_grads.size();
-        in1_nz = acts.nonzeros();
-        in1_total = acts.size();
-        out_total = lowered.out_shape.size();
-        // Gradients are re-bundled per feature (transposed layout).
-        transposed = out_grads.size();
-        gate = lowered.wg_b_is_gradients ? GateOperand::Grads
-                                         : GateOperand::Acts;
-        break;
-    }
-
-    OpResult result = runOp(lowered, gate);
-    applyMemory(result, memoryDemand(in0_nz, in0_total, in1_nz,
-                                     in1_total, out_total, out_sparsity,
-                                     transposed));
-    return result;
-}
-
-Accelerator::OpMemoryDemand
-Accelerator::memoryDemand(uint64_t in0_nz, uint64_t in0_total,
-                          uint64_t in1_nz, uint64_t in1_total,
-                          uint64_t out_total, double out_sparsity,
-                          uint64_t transposed_values) const
-{
-    int vb = dataTypeBytes(config_.dtype);
-    // Inputs stream in once per op, outputs stream out once; both are
-    // CompressingDMA zero-compressed (baseline and TensorDash alike).
-    OpMemoryDemand demand;
-    demand.dram_read_bytes =
-        CompressingDma::demandBytes(in0_nz, in0_total, vb) +
-        CompressingDma::demandBytes(in1_nz, in1_total, vb);
-    auto out_nz = (uint64_t)((double)out_total *
-                             std::clamp(1.0 - out_sparsity, 0.0, 1.0));
-    demand.dram_write_bytes =
-        CompressingDma::demandBytes(out_nz, out_total, vb);
-    demand.transposer_groups =
-        (double)transposed_values / (kGroupDim * kGroupDim);
-    return demand;
 }
 
 void
-Accelerator::applyMemory(OpResult &result,
-                         const OpMemoryDemand &demand) const
+chargeOffChip(const AcceleratorConfig &config, const OpTraffic &traffic,
+              double out_sparsity, OpResult &result)
 {
-    result.activity.dram_read_bytes = demand.dram_read_bytes;
-    result.activity.dram_write_bytes = demand.dram_write_bytes;
-    result.activity.transposer_groups = demand.transposer_groups;
-    if (config_.memory_model == MemoryModel::Analytic) {
+    int vb = dataTypeBytes(config.dtype);
+    // Inputs stream in once per op, outputs stream out once; both are
+    // CompressingDMA zero-compressed (baseline and TensorDash alike).
+    auto out_nz = (uint64_t)((double)traffic.out_total *
+                             std::clamp(1.0 - out_sparsity, 0.0, 1.0));
+    RunActivity &activity = result.activity;
+    activity.dram_read_bytes =
+        CompressingDma::demandBytes(traffic.in0_nz, traffic.in0_total,
+                                    vb) +
+        CompressingDma::demandBytes(traffic.in1_nz, traffic.in1_total,
+                                    vb);
+    activity.dram_write_bytes =
+        CompressingDma::demandBytes(out_nz, traffic.out_total, vb);
+    activity.transposer_groups =
+        (double)traffic.transposed / (kGroupDim * kGroupDim);
+    if (config.memory_model == MemoryModel::Analytic) {
         // Published-evaluation assumption: the streaming dataflow hides
         // off-chip latency, so traffic costs energy but never cycles.
         return;
     }
 
-    MemoryPipeline pipeline(config_.mem_pipeline, config_.dram,
-                            config_.freq_ghz);
+    MemoryPipeline pipeline(config.mem_pipeline, config.dram,
+                            config.freq_ghz);
     StageDemands stages;
-    stages.dma_in_bytes = demand.dram_read_bytes;
-    stages.transpose_groups = demand.transposer_groups;
-    stages.dma_out_bytes = demand.dram_write_bytes;
+    stages.dma_in_bytes = activity.dram_read_bytes;
+    stages.transpose_groups = activity.transposer_groups;
+    stages.dma_out_bytes = activity.dram_write_bytes;
 
     // The baseline and TensorDash move identical traffic; only the
     // TileCompute stage differs, so a memory-bound interval caps both
@@ -308,8 +224,17 @@ Accelerator::applyMemory(OpResult &result,
     result.memory_bound = td.memory_bound;
     result.base_cycles = base.cycles;
     result.td_cycles = td.cycles;
-    result.activity.cycles = result.td_cycles;
-    result.activity.dram_busy_cycles = td.dram_busy_cycles;
+    activity.cycles = result.td_cycles;
+    activity.dram_busy_cycles = td.dram_busy_cycles;
+}
+
+EnergyBreakdown
+opEnergy(const EnergyModel &model, const OpResult &result,
+         bool tensordash)
+{
+    RunActivity activity = result.activity;
+    activity.cycles = tensordash ? result.td_cycles : result.base_cycles;
+    return model.compute(activity, tensordash && !result.gated);
 }
 
 Tensor
@@ -331,11 +256,7 @@ Accelerator::runFunctional(const LoweredOp &lowered) const
 EnergyBreakdown
 Accelerator::energy(const OpResult &result, bool tensordash) const
 {
-    RunActivity activity = result.activity;
-    activity.cycles = tensordash ? result.td_cycles : result.base_cycles;
-    // A gated TensorDash run draws baseline power.
-    bool td_power = tensordash && !result.gated;
-    return energy_model_.compute(activity, td_power);
+    return opEnergy(energy_model_, result, tensordash);
 }
 
 } // namespace tensordash

@@ -222,6 +222,39 @@ struct OpResult
 };
 
 /**
+ * Off-chip traffic of one op, identical for baseline and TensorDash
+ * (both CompressingDMA-compress their transfers): the two operands
+ * streamed in, the output streamed out, and the values the
+ * transposers re-lay-out.  The simulator fills it with measured
+ * nonzero counts, the estimator with expected ones.
+ */
+struct OpTraffic
+{
+    uint64_t in0_nz = 0, in0_total = 0;
+    uint64_t in1_nz = 0, in1_total = 0;
+    uint64_t out_total = 0;
+    uint64_t transposed = 0;
+};
+
+/**
+ * Charge @p traffic to @p result: compressed DRAM bytes and transposer
+ * groups into its activity, and under the Pipelined memory model the
+ * resolution of its compute-only cycles against the staged memory
+ * pipeline (Analytic charges energy only).
+ *
+ * @param out_sparsity estimated zero fraction of the op's output
+ *                     (sizes the compressed write-back)
+ */
+void chargeOffChip(const AcceleratorConfig &config,
+                   const OpTraffic &traffic, double out_sparsity,
+                   OpResult &result);
+
+/** Energy of @p result on the baseline or on TensorDash; a gated
+ * TensorDash run draws baseline power. */
+EnergyBreakdown opEnergy(const EnergyModel &model, const OpResult &result,
+                         bool tensordash);
+
+/**
  * Cycle-level accelerator simulator.
  *
  * Running an op is logically const: results depend only on the config,
@@ -251,8 +284,10 @@ class Accelerator
                    GateOperand gate = GateOperand::None) const;
 
     /**
-     * Lower and run one convolution training op including the memory
-     * traffic charge.
+     * Lower and run one training op including the off-chip traffic
+     * charge.  Every layer runs here: an FC layer is the 1x1
+     * convolution it is, with operands (N, C, 1, 1), (F, C, 1, 1) and
+     * (N, F, 1, 1) and its LayerSpec::spec() of stride 1, pad 0.
      *
      * @param op            which training convolution
      * @param acts          A (N, C, H, W)
@@ -268,23 +303,6 @@ class Accelerator
                        double out_sparsity = 0.0) const;
 
     /**
-     * Lower and run one matmul/fully-connected training op including
-     * the memory traffic charge.  Operands use the 4-D convention with
-     * h = w = 1 (A (N, C, 1, 1), W (F, C, 1, 1), GO (N, F, 1, 1));
-     * results are bit-identical to runConvOp on the equivalent
-     * kernel=1/stride=1/pad=0 convolution.
-     *
-     * @param op            which training matmul
-     * @param acts          A (N, C, 1, 1)
-     * @param weights       W (F, C, 1, 1)
-     * @param out_grads     GO (N, F, 1, 1); may be empty for Forward
-     * @param out_sparsity  estimated zero fraction of the op's output
-     */
-    OpResult runFcOp(TrainOp op, const Tensor &acts,
-                     const Tensor &weights, const Tensor &out_grads,
-                     double out_sparsity = 0.0) const;
-
-    /**
      * Functional run: exhaustive lowering with values, producing the
      * op's full output tensor through the TensorDash tiles.
      */
@@ -297,25 +315,6 @@ class Accelerator
     const EnergyModel &energyModel() const { return energy_model_; }
 
   private:
-    /** Off-chip traffic of one op, identical for baseline and
-     * TensorDash (both CompressingDMA-compress their transfers). */
-    struct OpMemoryDemand
-    {
-        double dram_read_bytes = 0.0;
-        double dram_write_bytes = 0.0;
-        double transposer_groups = 0.0;
-    };
-
-    OpMemoryDemand memoryDemand(uint64_t in0_nz, uint64_t in0_total,
-                                uint64_t in1_nz, uint64_t in1_total,
-                                uint64_t out_total, double out_sparsity,
-                                uint64_t transposed_values) const;
-
-    /** Charge @p demand to the result: energy-only traffic under
-     * Analytic, pipelined cycle resolution under Pipelined. */
-    void applyMemory(OpResult &result,
-                     const OpMemoryDemand &demand) const;
-
     AcceleratorConfig config_;
     /** Scratch-carrying cycle model; results don't depend on it. */
     mutable Tile tile_;

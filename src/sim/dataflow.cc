@@ -63,17 +63,6 @@ struct Gather
     Runs runs;
 };
 
-/** A matrix side: output o's whole reduction is one run at o * pitch. */
-auto
-matrixGather(const Tensor &t, int count, int len, ptrdiff_t pitch,
-             ptrdiff_t stride)
-{
-    return Gather{t.data(), count, len, stride,
-                  [pitch, len](int o, auto &&emit) {
-                      emit(o * pitch, 0, len);
-                  }};
-}
-
 /** The i in [0, len) with 0 <= first + i * stride < extent. */
 struct Window
 {
@@ -409,9 +398,43 @@ Dataflow::lowerBackwardWeights(const Tensor &out_grads, const Tensor &acts,
             ? WgSide::Gradients : WgSide::Activations;
     }
 
+    Shape out_shape{gs.c, as.c, kernel_h, kernel_w};
+    int map = gs.h * gs.w;
+    auto lower = [&](const auto &grad_side, const auto &act_side) {
+        LoweredOp lowered = side == WgSide::Gradients
+            ? lowerGeneric(config_, TrainOp::BackwardWeights, grad_side,
+                           act_side, gs.n * map, out_shape)
+            : lowerGeneric(config_, TrainOp::BackwardWeights, act_side,
+                           grad_side, gs.n * map, out_shape);
+        lowered.wg_b_is_gradients = side == WgSide::Gradients;
+        return lowered;
+    };
+    ptrdiff_t plane = (ptrdiff_t)as.h * as.w;
+
+    if (map == 1) {
+        // A one-pixel output map (every FC layer) reduces over the
+        // batch alone, so each output's reduction is one run strided
+        // across the samples rather than gs.n single-element runs.
+        // Filter f reads GO[n, f]; tap (c, ky, kx) reads the one input
+        // pixel it sees, or all zeros when that pixel is padding.
+        int n = gs.n;
+        Gather grad_side{out_grads.data(), gs.c, n, (ptrdiff_t)gs.c,
+                         [n](int f, auto &&emit) { emit(f, 0, n); }};
+        Gather act_side{acts.data(), as.c * kernel_h * kernel_w, n,
+                        (ptrdiff_t)as.c * plane, [=](int t, auto &&emit) {
+                            int ix = t % kernel_w - spec.pad;
+                            int iy = (t / kernel_w) % kernel_h - spec.pad;
+                            int c = t / (kernel_h * kernel_w);
+                            bool inside = iy >= 0 && iy < as.h &&
+                                          ix >= 0 && ix < as.w;
+                            emit(c * plane + (ptrdiff_t)iy * as.w + ix, 0,
+                                 inside ? n : 0);
+                        }};
+        return lower(grad_side, act_side);
+    }
+
     // Reduction order: (n, oy) outer, ox inner.  Filter f's gradient
     // map is one contiguous run per sample.
-    int map = gs.h * gs.w;
     Gather grad_side{out_grads.data(), gs.c, map, 1,
                      [=](int f, auto &&emit) {
                          for (int n = 0; n < gs.n; ++n)
@@ -419,7 +442,6 @@ Dataflow::lowerBackwardWeights(const Tensor &out_grads, const Tensor &acts,
                      }};
     // Tap (c, ky, kx) reads one strided run along each output row
     // (n, oy); the window clips the columns that fall in the padding.
-    ptrdiff_t plane = (ptrdiff_t)as.h * as.w;
     Gather act_side{acts.data(), as.c * kernel_h * kernel_w, gs.w,
                     (ptrdiff_t)spec.stride, [=](int t, auto &&emit) {
                         int kx = t % kernel_w;
@@ -439,19 +461,13 @@ Dataflow::lowerBackwardWeights(const Tensor &out_grads, const Tensor &acts,
                             }
                         }
                     }};
-
-    Shape out_shape{gs.c, as.c, kernel_h, kernel_w};
-    int reduction = gs.n * map;
-    LoweredOp lowered = side == WgSide::Gradients
-        ? lowerGeneric(config_, TrainOp::BackwardWeights, grad_side,
-                       act_side, reduction, out_shape)
-        : lowerGeneric(config_, TrainOp::BackwardWeights, act_side,
-                       grad_side, reduction, out_shape);
-    lowered.wg_b_is_gradients = side == WgSide::Gradients;
-    return lowered;
+    return lower(grad_side, act_side);
 }
 
 namespace {
+
+/** An FC layer is the stride-1, unpadded 1x1 convolution. */
+constexpr ConvSpec kFcSpec{1, 0};
 
 /** Matmul operands carry no spatial extent. */
 void
@@ -468,29 +484,9 @@ LoweredOp
 Dataflow::lowerFcForward(const Tensor &acts, const Tensor &weights,
                          FwdSide side) const
 {
-    const Shape &as = acts.shape();
-    const Shape &ws = weights.shape();
-    TD_ASSERT(as.c == ws.c, "channel mismatch in fc forward lowering");
     assertMatmulShape(acts, "activations");
     assertMatmulShape(weights, "weights");
-
-    if (side == FwdSide::Auto) {
-        side = weights.sparsity() > acts.sparsity()
-            ? FwdSide::Weights : FwdSide::Activations;
-    }
-
-    // Rows of A (one per sample) against rows of W (one per output
-    // feature), reduced over in_c in lane-wide blocks.
-    auto b = matrixGather(acts, as.n, as.c, as.c, 1);
-    auto a = matrixGather(weights, ws.n, ws.c, ws.c, 1);
-
-    LoweredOp lowered = side == FwdSide::Activations
-        ? lowerGeneric(config_, TrainOp::Forward, b, a, as.c,
-                       Shape{as.n, ws.n, 1, 1})
-        : lowerGeneric(config_, TrainOp::Forward, a, b, as.c,
-                       Shape{as.n, ws.n, 1, 1});
-    lowered.b_is_default_side = side == FwdSide::Activations;
-    return lowered;
+    return lowerForward(acts, weights, kFcSpec, side);
 }
 
 LoweredOp
@@ -499,65 +495,19 @@ Dataflow::lowerFcBackwardData(const Tensor &out_grads,
                               const Shape &input_shape,
                               BwdDataSide side) const
 {
-    const Shape &gs = out_grads.shape();
-    const Shape &ws = weights.shape();
-    TD_ASSERT(gs.c == ws.n,
-              "filter mismatch in fc backward-data lowering");
-    TD_ASSERT(input_shape.n == gs.n && input_shape.c == ws.c,
-              "fc backward-data input %s does not match gradients %s "
-              "and weights %s", input_shape.str().c_str(),
-              gs.str().c_str(), ws.str().c_str());
     assertMatmulShape(out_grads, "gradients");
     assertMatmulShape(weights, "weights");
-
-    if (side == BwdDataSide::Auto) {
-        side = weights.sparsity() > out_grads.sparsity()
-            ? BwdDataSide::Weights : BwdDataSide::Gradients;
-    }
-
-    // GA = GO x W: gradient rows against weight columns, reduced over
-    // the out_c features.
-    auto b = matrixGather(out_grads, gs.n, gs.c, gs.c, 1);
-    auto a = matrixGather(weights, ws.c, ws.n, 1, ws.c);
-
-    LoweredOp lowered = side == BwdDataSide::Gradients
-        ? lowerGeneric(config_, TrainOp::BackwardData, b, a, ws.n,
-                       input_shape)
-        : lowerGeneric(config_, TrainOp::BackwardData, a, b, ws.n,
-                       input_shape);
-    lowered.b_is_default_side = side == BwdDataSide::Gradients;
-    return lowered;
+    return lowerBackwardData(out_grads, weights, input_shape, kFcSpec,
+                             side);
 }
 
 LoweredOp
 Dataflow::lowerFcBackwardWeights(const Tensor &out_grads,
                                  const Tensor &acts, WgSide side) const
 {
-    const Shape &gs = out_grads.shape();
-    const Shape &as = acts.shape();
-    TD_ASSERT(gs.n == as.n,
-              "batch mismatch in fc backward-weights lowering");
     assertMatmulShape(out_grads, "gradients");
     assertMatmulShape(acts, "activations");
-
-    if (side == WgSide::Auto) {
-        side = out_grads.sparsity() >= acts.sparsity()
-            ? WgSide::Gradients : WgSide::Activations;
-    }
-
-    // GW = GO^T x A: per-feature gradient columns against per-input
-    // activation columns, reduced over the batch.
-    auto grad_side = matrixGather(out_grads, gs.c, gs.n, 1, gs.c);
-    auto act_side = matrixGather(acts, as.c, as.n, 1, as.c);
-
-    Shape out_shape{gs.c, as.c, 1, 1};
-    LoweredOp lowered = side == WgSide::Gradients
-        ? lowerGeneric(config_, TrainOp::BackwardWeights, grad_side,
-                       act_side, gs.n, out_shape)
-        : lowerGeneric(config_, TrainOp::BackwardWeights, act_side,
-                       grad_side, gs.n, out_shape);
-    lowered.wg_b_is_gradients = side == WgSide::Gradients;
-    return lowered;
+    return lowerBackwardWeights(out_grads, acts, 1, 1, kFcSpec, side);
 }
 
 void

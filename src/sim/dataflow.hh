@@ -179,15 +179,12 @@ class Dataflow
                                    WgSide side = WgSide::Auto) const;
 
     /*
-     * Matmul/fully-connected lowerings.  An FC layer is a plain matrix
-     * product — no spatial windows, stride arithmetic or padding — so
-     * these gather operand rows directly instead of routing through
-     * the degenerate 1x1-conv index math.  Operands use the 4-D tensor
-     * convention with h = w = 1: A (N, C, 1, 1), W (F, C, 1, 1),
-     * GO (N, F, 1, 1).  Job grids, gather order and the job sampler
-     * match the conv lowerings exactly on these shapes, so the
-     * resulting streams are bit-identical to the historical 1x1-conv
-     * path (enforced by the FC parity tests).
+     * Matmul/fully-connected entry points.  An FC layer is the
+     * stride-1, unpadded 1x1 convolution (paper section 2.1), so each
+     * of these checks that its operands carry no spatial extent —
+     * A (N, C, 1, 1), W (F, C, 1, 1), GO (N, F, 1, 1) — and calls the
+     * conv lowering above.  The simulator itself lowers FC layers
+     * through the conv entry points with LayerSpec::spec().
      */
 
     /** Lower O = A x W^T (reduction over in_c).  B side per @p side:

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "sim/memory/compressing_dma.hh"
-#include "sim/memory/transposer.hh"
 #include "sparsity/temporal.hh"
 
 namespace tensordash {
@@ -311,10 +309,7 @@ struct OpGeom
     SideInfo b;
     uint64_t a_count = 0;
     uint64_t reduction = 0;
-    uint64_t out_total = 0;
-    uint64_t transposed = 0;
-    uint64_t in0_nz = 0, in0_total = 0;
-    uint64_t in1_nz = 0, in1_total = 0;
+    OpTraffic traffic; ///< expected, not measured, nonzero counts
     double gate_sparsity = 1.0; ///< expected sparsity of the gate tensor
 };
 
@@ -368,11 +363,11 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
     switch (op) {
       case TrainOp::Forward: {
         g.reduction = (uint64_t)C * K * K;
-        g.out_total = grads_total;
-        g.in0_nz = expectedNonzeros(acts_total, da);
-        g.in0_total = acts_total;
-        g.in1_nz = expectedNonzeros(weights_total, dw);
-        g.in1_total = weights_total;
+        g.traffic = {.in0_nz = expectedNonzeros(acts_total, da),
+                     .in0_total = acts_total,
+                     .in1_nz = expectedNonzeros(weights_total, dw),
+                     .in1_total = weights_total,
+                     .out_total = grads_total};
         bool weights_side = config.fwd_side == FwdSide::Weights ||
             (config.fwd_side == FwdSide::Auto && sw > sp.act);
         uint64_t windows = (uint64_t)N * OH * OH;
@@ -402,12 +397,12 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
       }
       case TrainOp::BackwardData: {
         g.reduction = (uint64_t)F * K * K;
-        g.out_total = acts_total;
-        g.transposed = weights_total;
-        g.in0_nz = expectedNonzeros(grads_total, dg);
-        g.in0_total = grads_total;
-        g.in1_nz = expectedNonzeros(weights_total, dw);
-        g.in1_total = weights_total;
+        g.traffic = {.in0_nz = expectedNonzeros(grads_total, dg),
+                     .in0_total = grads_total,
+                     .in1_nz = expectedNonzeros(weights_total, dw),
+                     .in1_total = weights_total,
+                     .out_total = acts_total,
+                     .transposed = weights_total};
         bool weights_side = config.bwd_data_side == BwdDataSide::Weights ||
             (config.bwd_data_side == BwdDataSide::Auto &&
              sw > sp.grad);
@@ -436,12 +431,12 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
       }
       case TrainOp::BackwardWeights: {
         g.reduction = (uint64_t)N * OH * OH;
-        g.out_total = weights_total;
-        g.transposed = grads_total;
-        g.in0_nz = expectedNonzeros(grads_total, dg);
-        g.in0_total = grads_total;
-        g.in1_nz = expectedNonzeros(acts_total, da);
-        g.in1_total = acts_total;
+        g.traffic = {.in0_nz = expectedNonzeros(grads_total, dg),
+                     .in0_total = grads_total,
+                     .in1_nz = expectedNonzeros(acts_total, da),
+                     .in1_total = acts_total,
+                     .out_total = weights_total,
+                     .transposed = grads_total};
         bool grads_side = config.wg_side == WgSide::Gradients ||
             (config.wg_side == WgSide::Auto && sp.grad >= sp.act);
         if (grads_side) {
@@ -684,49 +679,14 @@ OpEstimator::estimateOp(const LayerSpec &layer, int batch, TrainOp op,
     r.activity.spad_row_writes = r.activity.spad_row_reads;
     r.activity.sram_block_reads = r.activity.spad_row_reads;
     r.activity.sram_block_writes =
-        (double)g.out_total / (double)tile.lanes;
+        (double)g.traffic.out_total / (double)tile.lanes;
     r.activity.cycles = r.td_cycles;
 
-    // Off-chip traffic: the simulator's memoryDemand fed with expected
-    // instead of measured nonzero counts.
-    int vb = dataTypeBytes(config_.dtype);
-    double read_bytes =
-        CompressingDma::demandBytes(g.in0_nz, g.in0_total, vb) +
-        CompressingDma::demandBytes(g.in1_nz, g.in1_total, vb);
-    auto out_nz = (uint64_t)((double)g.out_total *
-                             std::clamp(1.0 - out_sparsity, 0.0, 1.0));
-    double write_bytes =
-        CompressingDma::demandBytes(out_nz, g.out_total, vb);
-    double groups = (double)g.transposed / (kGroupDim * kGroupDim);
-
-    r.activity.dram_read_bytes = read_bytes;
-    r.activity.dram_write_bytes = write_bytes;
-    r.activity.transposer_groups = groups;
-    if (config_.memory_model == MemoryModel::Pipelined) {
-        MemoryPipeline pipeline(config_.mem_pipeline, config_.dram,
-                                config_.freq_ghz);
-        StageDemands stages;
-        stages.dma_in_bytes = read_bytes;
-        stages.transpose_groups = groups;
-        stages.dma_out_bytes = write_bytes;
-        stages.compute_cycles = r.base_cycles;
-        PipelineTiming base = pipeline.resolve(stages);
-        stages.compute_cycles = r.td_cycles;
-        PipelineTiming td = pipeline.resolve(stages);
-        r.base_mem_stall_cycles = base.mem_stall_cycles;
-        r.td_mem_stall_cycles = td.mem_stall_cycles;
-        r.memory_bound = td.memory_bound;
-        r.base_cycles = base.cycles;
-        r.td_cycles = td.cycles;
-        r.activity.cycles = r.td_cycles;
-        r.activity.dram_busy_cycles = td.dram_busy_cycles;
-    }
-
-    RunActivity activity = r.activity;
-    activity.cycles = r.base_cycles;
-    est.energy_base = energy_model_.compute(activity, false);
-    activity.cycles = r.td_cycles;
-    est.energy_td = energy_model_.compute(activity, !gated);
+    // Off-chip traffic and energy: the simulator's own charge, fed
+    // with expected instead of measured nonzero counts.
+    chargeOffChip(config_, g.traffic, out_sparsity, r);
+    est.energy_base = opEnergy(energy_model_, r, false);
+    est.energy_td = opEnergy(energy_model_, r, true);
     return est;
 }
 

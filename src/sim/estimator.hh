@@ -28,10 +28,9 @@
  *    cycles are the expected row-wise maximum of a calibrated
  *    efficiency curve over that distribution (rows advance in
  *    lockstep, so the densest row of a PE paces the job).
- *  - Off-chip traffic reuses CompressingDma::demandBytes and
- *    MemoryPipeline::resolve verbatim — the same staged model the
- *    simulator charges, fed with expected instead of measured
- *    nonzero counts.
+ *  - Off-chip traffic and energy go through the simulator's own
+ *    chargeOffChip() and opEnergy() (sim/accelerator.hh), fed with
+ *    expected instead of measured nonzero counts.
  *
  * Accuracy is pinned by the estimator-vs-exact error-bound suite in
  * tests/test_estimator.cc (target <= 10% median, <= 25% p95 error on

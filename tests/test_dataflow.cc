@@ -130,7 +130,11 @@ const std::tuple<int, int, int, int, int, int, int> kGeometries[] = {
     std::make_tuple(1, 1, 1, 7, 1, 1, 0),   // 1x1 kernel
     std::make_tuple(1, 5, 2, 9, 5, 2, 2),
     std::make_tuple(2, 33, 3, 4, 2, 2, 0),
-    std::make_tuple(1, 4, 2, 7, 2, 2, 0)};  // does not tile exactly
+    std::make_tuple(1, 4, 2, 7, 2, 2, 0),   // does not tile exactly
+    // One-pixel output maps: WxG reduces over the batch alone.
+    std::make_tuple(3, 5, 4, 3, 3, 1, 0),
+    std::make_tuple(2, 3, 2, 1, 3, 1, 1),   // taps fall in padding
+    std::make_tuple(5, 20, 3, 1, 1, 1, 0)}; // FC, channels > lanes
 
 INSTANTIATE_TEST_SUITE_P(Geometries, DataflowFunctional,
                          ::testing::ValuesIn(kGeometries));
@@ -548,33 +552,18 @@ TEST(Dataflow, LoweringKnownAnswer)
         const Tensor &g = lt.grads;
         int k = layer->kernel;
         uint64_t got[6];
-        if (layer->fc) {
-            got[0] = maskFingerprint(
-                df.lowerFcForward(a, w, FwdSide::Activations));
-            got[1] = maskFingerprint(df.lowerFcBackwardData(
-                g, w, a.shape(), BwdDataSide::Gradients));
-            got[2] = maskFingerprint(
-                df.lowerFcBackwardWeights(g, a, WgSide::Gradients));
-            got[3] = maskFingerprint(
-                df.lowerFcForward(a, w, FwdSide::Weights));
-            got[4] = maskFingerprint(df.lowerFcBackwardData(
-                g, w, a.shape(), BwdDataSide::Weights));
-            got[5] = maskFingerprint(
-                df.lowerFcBackwardWeights(g, a, WgSide::Activations));
-        } else {
-            got[0] = maskFingerprint(
-                df.lowerForward(a, w, lt.spec, FwdSide::Activations));
-            got[1] = maskFingerprint(df.lowerBackwardData(
-                g, w, a.shape(), lt.spec, BwdDataSide::Gradients));
-            got[2] = maskFingerprint(df.lowerBackwardWeights(
-                g, a, k, k, lt.spec, WgSide::Gradients));
-            got[3] = maskFingerprint(
-                df.lowerForward(a, w, lt.spec, FwdSide::Weights));
-            got[4] = maskFingerprint(df.lowerBackwardData(
-                g, w, a.shape(), lt.spec, BwdDataSide::Weights));
-            got[5] = maskFingerprint(df.lowerBackwardWeights(
-                g, a, k, k, lt.spec, WgSide::Activations));
-        }
+        got[0] = maskFingerprint(
+            df.lowerForward(a, w, lt.spec, FwdSide::Activations));
+        got[1] = maskFingerprint(df.lowerBackwardData(
+            g, w, a.shape(), lt.spec, BwdDataSide::Gradients));
+        got[2] = maskFingerprint(df.lowerBackwardWeights(
+            g, a, k, k, lt.spec, WgSide::Gradients));
+        got[3] = maskFingerprint(
+            df.lowerForward(a, w, lt.spec, FwdSide::Weights));
+        got[4] = maskFingerprint(df.lowerBackwardData(
+            g, w, a.shape(), lt.spec, BwdDataSide::Weights));
+        got[5] = maskFingerprint(df.lowerBackwardWeights(
+            g, a, k, k, lt.spec, WgSide::Activations));
         for (int i = 0; i < 6; ++i) {
             EXPECT_EQ(got[i], c.want[i])
                 << c.model << " " << c.layer << " lowering " << i

@@ -221,6 +221,12 @@ TEST(Protocol, CellsFileRoundTrip)
     std::vector<uint8_t> padded = bytes;
     padded.push_back(0);
     EXPECT_FALSE(deserializeCells(padded, &out));
+
+    // A count whose byte size wraps to the 8 bytes that follow it.
+    ByteWriter w;
+    w.u64((uint64_t{1} << 61) + 1);
+    w.u64(0);
+    EXPECT_FALSE(deserializeCells(w.data(), &out));
 }
 
 // --------------------------------------------------------------------

@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for workload phases and the matmul/FC path: phase op sets,
- * TaskKey op/phase sensitivity (the op is part of a cell's identity,
- * the phase never is), an inference sweep born warm from a training
- * run's cache with bit-identical Forward cells, runFcOp bit-identity
- * with the degenerate 1x1 convolution, functional parity of the FC
- * lowerings against the reference matmuls, the phase sweep axis, and
- * LayerSpec/ModelProfile validation diagnostics.
+ * Tests for workload phases and FC models: phase op sets, TaskKey
+ * op/phase sensitivity (the op is part of a cell's identity, the
+ * phase never is), an inference sweep born warm from a training run's
+ * cache with bit-identical Forward cells, functional parity of the FC
+ * entry points (1x1-conv lowerings) against the reference matmuls,
+ * the phase sweep axis, and LayerSpec/ModelProfile validation
+ * diagnostics.
  */
 
 #include <gtest/gtest.h>
@@ -234,42 +234,6 @@ TEST(WorkloadPhaseTest, PhaseAxisSweepsBothPhasesInOneGrid)
     EXPECT_EQ(restored.at(0, 0, 1).total.td_cycles,
               sweep.at(0, 0, 1).total.td_cycles);
     ResultStore::shared().clearMemo();
-}
-
-TEST(WorkloadPhaseTest, FcOpsAreBitIdenticalToTheDegenerateConv)
-{
-    // The FC lowerings must reproduce the kernel=1/stride=1/pad=0
-    // convolution path bit for bit — exhaustive and sampled alike —
-    // or cached cells of all-FC models would change identity.
-    Rng rng(11);
-    Tensor acts(4, 32, 1, 1);
-    acts.fillSmallInt(rng, 3);
-    acts.dropout(rng, 0.5f);
-    Tensor weights(16, 32, 1, 1);
-    weights.fillSmallInt(rng, 3);
-    weights.dropout(rng, 0.3f);
-    Tensor go(4, 16, 1, 1);
-    go.fillSmallInt(rng, 3);
-    go.dropout(rng, 0.6f);
-
-    for (uint64_t budget : {uint64_t{0}, uint64_t{1500}}) {
-        AcceleratorConfig cfg;
-        cfg.tiles = 2;
-        cfg.max_sampled_macs = budget;
-        Accelerator accel(cfg);
-        for (TrainOp op : phaseOps(WorkloadPhase::Training)) {
-            OpResult via_fc =
-                accel.runFcOp(op, acts, weights, go, 0.25);
-            OpResult via_conv = accel.runConvOp(
-                op, acts, weights, go, ConvSpec{1, 0}, 0.25);
-            EXPECT_EQ(opBytes(via_fc), opBytes(via_conv))
-                << "op " << trainOpName(op) << " budget " << budget;
-            EXPECT_EQ(accel.energy(via_fc, true).total(),
-                      accel.energy(via_conv, true).total());
-            EXPECT_EQ(accel.energy(via_fc, false).total(),
-                      accel.energy(via_conv, false).total());
-        }
-    }
 }
 
 TEST(WorkloadPhaseTest, FcLoweringsComputeTheReferenceMatmuls)
