@@ -5,7 +5,7 @@
  * across the model suite's tensors.
  *
  * Rides the shared bench harness: per-model packings are independent,
- * so they run as tasks on the shared pool (--threads) and the table
+ * so they run as parallel tasks (--threads) and the table
  * assembles in suite order; --reps/--csv behave like every other
  * figure.
  */
@@ -81,7 +81,7 @@ main(int argc, char **argv)
     bench::runFigure(opts, [&] {
         // Each model packs independently; rows land in suite order.
         std::vector<std::vector<std::string>> rows(models.size());
-        ThreadPool::shared().parallelFor(
+        parallelFor(
             models.size(),
             [&](size_t m) { rows[m] = reportModel(models[m]); },
             opts.threads);

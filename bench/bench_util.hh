@@ -67,8 +67,8 @@ defaultRunConfig()
  * the same base options so sweeps can be scripted uniformly:
  *
  *   --threads N      simulation parallelism (default: TD_THREADS or
- *                    all cores; the shared ThreadPool serves every
- *                    figure)
+ *                    all cores); each sweep starts that many threads
+ *                    and joins them before it returns
  *   --reps N         repeat the figure N times and report wall-clock
  *                    per repetition (for scaling measurements)
  *   --csv PATH       also write the figure's table as CSV to PATH
@@ -336,8 +336,7 @@ template <typename BuildFn>
 inline void
 runFigure(const Options &opts, BuildFn &&build)
 {
-    int threads =
-        opts.threads > 0 ? opts.threads : ThreadPool::defaultThreadCount();
+    int threads = opts.threads > 0 ? opts.threads : defaultThreadCount();
     for (int rep = 0; rep < opts.reps; ++rep) {
         if (opts.reps > 1)
             ResultStore::shared().clearMemo();

@@ -4,7 +4,7 @@
  * of the epochs), per model.
  *
  * The whole figure is one runMany() batch: every (model, progress,
- * layer, op) cell becomes a task on the shared pool.  All points use
+ * layer, op) cell becomes a task of one claim loop.  All points use
  * the same synthesis seed so columns differ only in training progress.
  */
 

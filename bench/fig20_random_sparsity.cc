@@ -11,7 +11,7 @@
  * is exactly the per-level sample merge — and a SweepSpec synthesis
  * hook reproduces the Bernoulli tensors with their historical
  * (level, sample) seeding.  The figure thereby inherits --cache-dir,
- * --shard/--merge and pool-wide load balancing.
+ * --shard/--merge and the claim loop's load balancing.
  */
 
 #include <cmath>

@@ -6,7 +6,7 @@
  * kind of study section 4.4 performs.
  *
  * All configurations run as one sweep: their layers simulate as
- * parallel tasks on the shared pool, and each layer is synthesized
+ * parallel tasks of one claim loop, and each layer is synthesized
  * once for every configuration.  Results are identical at any thread
  * count.
  *
@@ -38,12 +38,10 @@ main(int argc, char **argv)
         }
         threads = (int)v;
     }
+    const int shown = threads > 0 ? threads : defaultThreadCount();
     std::printf("Design space exploration on %s (%d simulation "
-                "thread%s)\n", model.c_str(),
-                threads > 0 ? threads : ThreadPool::defaultThreadCount(),
-                (threads > 0 ? threads
-                             : ThreadPool::defaultThreadCount()) == 1
-                    ? "" : "s");
+                "thread%s)\n", model.c_str(), shown,
+                shown == 1 ? "" : "s");
     std::printf("%-34s %7s %13s %9s\n", "configuration", "speedup",
                 "compute area", "core eff");
     std::printf("%s\n", std::string(66, '-').c_str());

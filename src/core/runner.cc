@@ -9,8 +9,8 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "core/result_store.hh"
 #include "core/synth_cache.hh"
 #include "sim/estimator.hh"
@@ -459,12 +459,11 @@ SweepResult
 runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
         std::span<const size_t> cells, const RunHooks &hooks)
 {
-    // A negative thread count would silently degrade to "whole pool"
-    // inside the pool sizing path; reject it here where the request
-    // was made.
+    // A negative thread count would silently mean the default inside
+    // parallelFor; reject it here where the request was made.
     TD_ASSERT(exec.threads >= 0,
-              "RunConfig::threads must be >= 0 (0 = the shared pool "
-              "default), got %d", exec.threads);
+              "RunConfig::threads must be >= 0 (0 = the default), got "
+              "%d", exec.threads);
     for (const RunConfig &config : grid.configs)
         TD_ASSERT(config.fidelity == Fidelity::Exact ||
                       !grid.spec.synthesize,
@@ -508,7 +507,7 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
     }
 
     // The owned slice of the grid, claimed costliest-first so a huge
-    // layer picked up late cannot leave the pool tailing on one
+    // layer picked up late cannot leave the sweep tailing on one
     // thread; tasks from every config variant interleave in the one
     // claim loop.  Results land in pre-assigned slots and the reduce
     // walks serial order, so neither the ownership split nor the claim
@@ -527,12 +526,21 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
 
     // Every owned exact task may read its layer's tensors, so each
     // holds one use of its SynthKey until it is done, on every path:
-    // the last reader frees the tensors, and a returned sweep holds
-    // nothing.
+    // the last reader frees the tensors, and a returned or thrown
+    // sweep holds nothing.  released[i] is written only by the task
+    // that owns index i, or after the claim loop has joined.
     SynthCache &synth_cache = SynthCache::shared();
+    auto isExact = [&](const SimTask &task) {
+        return e.units[task.unit].config->fidelity == Fidelity::Exact;
+    };
     for (const SimTask &task : owned)
-        if (e.units[task.unit].config->fidelity == Fidelity::Exact)
+        if (isExact(task))
             synth_cache.retain(synthKey(task));
+    std::vector<uint8_t> released(owned.size(), 0);
+    auto release = [&](size_t i) {
+        if (!std::exchange(released[i], 1) && isExact(owned[i]))
+            synth_cache.release(synthKey(owned[i]));
+    };
 
     ResultStore *store = exec.cache ? &ResultStore::shared() : nullptr;
     const std::string cache_dir =
@@ -548,81 +556,83 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
     std::atomic<size_t> estimated{0};
     std::mutex hook_mu;
     size_t done_tasks = 0; ///< guarded by hook_mu
-    ThreadPool &pool = ThreadPool::shared();
-    pool.parallelFor(
-        owned.size(),
-        [&](size_t i) {
-            const SimTask &task = owned[i];
-            const SweepUnit &unit = e.units[task.unit];
-            const bool exact =
-                unit.config->fidelity == Fidelity::Exact;
-            // Cancellation drains: tasks already simulating finish
-            // normally (no torn cells), tasks not yet started are
-            // skipped and their slots stay absent — the partial sweep
-            // still serializes and merges like any shard.
-            if (hooks.cancel &&
-                hooks.cancel->load(std::memory_order_relaxed)) {
-                if (exact)
-                    synth_cache.release(synthKey(task));
-                return;
-            }
-            std::span<const TrainOp> ops =
-                phaseOps(unit.config->phase);
-            const uint32_t want = own_mask[task.slot];
-            LayerResult &out = sweep.layer_results[task.slot];
-            out.cells.resize(ops.size());
-            uint32_t missing = 0;
-            size_t hits = 0;
-            for (size_t j = 0; j < ops.size(); ++j) {
-                if (!(want & (1u << j)))
-                    continue;
-                if (store &&
-                    store->lookup(e.cells[task.first_cell + j].key,
-                                  &out.cells[j], cache_dir))
-                    ++hits;
-                else
-                    missing |= 1u << j;
-            }
-            if (missing) {
-                if (exact)
-                    simulateTaskOps(grid.spec, unit, task,
-                                    synthKey(task), ops, missing, &out);
-                else
-                    estimateTaskOps(grid.spec, unit, task, ops, missing,
-                                    &out);
-                std::atomic<size_t> &produced =
-                    exact ? simulated : estimated;
-                for (size_t j = 0; j < ops.size(); ++j) {
-                    if (!(missing & (1u << j)))
-                        continue;
-                    produced.fetch_add(1, std::memory_order_relaxed);
-                    if (store)
-                        store->insert(e.cells[task.first_cell + j].key,
-                                      out.cells[j], cache_dir);
-                }
-            }
+    auto runTask = [&](size_t i) {
+        const SimTask &task = owned[i];
+        const SweepUnit &unit = e.units[task.unit];
+        const bool exact = isExact(task);
+        // Cancellation drains: tasks already simulating finish
+        // normally (no torn cells), tasks not yet started are
+        // skipped and their slots stay absent — the partial sweep
+        // still serializes and merges like any shard.
+        if (hooks.cancel &&
+            hooks.cancel->load(std::memory_order_relaxed)) {
+            release(i);
+            return;
+        }
+        std::span<const TrainOp> ops =
+            phaseOps(unit.config->phase);
+        const uint32_t want = own_mask[task.slot];
+        LayerResult &out = sweep.layer_results[task.slot];
+        out.cells.resize(ops.size());
+        uint32_t missing = 0;
+        size_t hits = 0;
+        for (size_t j = 0; j < ops.size(); ++j) {
+            if (!(want & (1u << j)))
+                continue;
+            if (store &&
+                store->lookup(e.cells[task.first_cell + j].key,
+                              &out.cells[j], cache_dir))
+                ++hits;
+            else
+                missing |= 1u << j;
+        }
+        if (missing) {
             if (exact)
-                synth_cache.release(synthKey(task));
-            cache_hits.fetch_add(hits, std::memory_order_relaxed);
-            sweep.present[task.slot] = (uint8_t)want;
-            if (hooks.progress) {
-                // Serialized here so the callback needs no locking;
-                // done_tasks counts *processed* tasks (skipped-by-
-                // cancel tasks never report).
-                std::lock_guard<std::mutex> g(hook_mu);
-                SweepProgress p;
-                p.done_tasks = ++done_tasks;
-                p.total_tasks = owned.size();
-                p.cache_hits =
-                    cache_hits.load(std::memory_order_relaxed);
-                p.simulated =
-                    simulated.load(std::memory_order_relaxed);
-                p.estimated =
-                    estimated.load(std::memory_order_relaxed);
-                hooks.progress(p);
+                simulateTaskOps(grid.spec, unit, task,
+                                synthKey(task), ops, missing, &out);
+            else
+                estimateTaskOps(grid.spec, unit, task, ops, missing,
+                                &out);
+            std::atomic<size_t> &produced =
+                exact ? simulated : estimated;
+            for (size_t j = 0; j < ops.size(); ++j) {
+                if (!(missing & (1u << j)))
+                    continue;
+                produced.fetch_add(1, std::memory_order_relaxed);
+                if (store)
+                    store->insert(e.cells[task.first_cell + j].key,
+                                  out.cells[j], cache_dir);
             }
-        },
-        exec.threads);
+        }
+        release(i);
+        cache_hits.fetch_add(hits, std::memory_order_relaxed);
+        sweep.present[task.slot] = (uint8_t)want;
+        if (hooks.progress) {
+            // Serialized here so the callback needs no locking;
+            // done_tasks counts *processed* tasks (skipped-by-
+            // cancel tasks never report).
+            std::lock_guard<std::mutex> g(hook_mu);
+            SweepProgress p;
+            p.done_tasks = ++done_tasks;
+            p.total_tasks = owned.size();
+            p.cache_hits =
+                cache_hits.load(std::memory_order_relaxed);
+            p.simulated =
+                simulated.load(std::memory_order_relaxed);
+            p.estimated =
+                estimated.load(std::memory_order_relaxed);
+            hooks.progress(p);
+        }
+    };
+    try {
+        parallelFor(owned.size(), runTask, exec.threads);
+    } catch (...) {
+        // A body threw: the thrower and every task left unclaimed
+        // still hold their uses.
+        for (size_t i = 0; i < owned.size(); ++i)
+            release(i);
+        throw;
+    }
     // One pack per sweep, written whether the claim loop finished or
     // was cancelled: a drained sweep keeps every cell it simulated.
     if (store)

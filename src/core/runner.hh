@@ -15,12 +15,13 @@
  *
  * Execution is task-based: every layer becomes one stateless
  * simulation task (synthesize -> lower -> simulate the phase's op
- * set -> reduce) on the shared ThreadPool, each with its own
- * Accelerator instance.  Tasks are claimed costliest-first — ranked by
+ * set -> reduce), each with its own Accelerator instance, claimed
+ * by the sweep's own threads (one parallelFor per sweep, joined before
+ * it returns).  Tasks are claimed costliest-first — ranked by
  * the closed-form OpEstimator's predicted simulation cost, which sees
  * the variant's geometry (sampling caps, gather/schedule volume, the
  * sparse front end) rather than raw dense MACs — so skewed layer costs
- * cannot leave the pool tailing on one straggler.
+ * cannot leave the sweep tailing on one straggler.
  * Per-layer Rng streams are forked serially up front and results are
  * merged in serial (layer, op) order, so a run is bit-identical at any
  * thread count.  With power gating enabled, each task observes its
@@ -193,9 +194,10 @@ struct RunConfig
     int batch_override = 0;
 
     /**
-     * Maximum simulation parallelism: 1 = fully serial, 0 = the shared
-     * pool's size (TD_THREADS or hardware_concurrency).  Results are
-     * identical at any setting.  Negative values are rejected.
+     * Maximum simulation parallelism: 1 = fully serial, 0 = the
+     * default (TD_THREADS as first read by the process, else
+     * hardware_concurrency).  Results are identical at any setting.
+     * Negative values are rejected.
      */
     int threads = 0;
 
@@ -809,7 +811,7 @@ class ModelRunner
     /**
      * Declarative sweep API: expand @p spec's config axes against this
      * runner's RunConfig and simulate the whole (variant x model x
-     * progress x layer) grid in one batch over the shared pool — every
+     * progress x layer) grid in one parallel batch — every
      * axis point interleaves in one costliest-first claim loop, every
      * cell consults the result cache, and the grid shards as a unit.
      *

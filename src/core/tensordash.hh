@@ -24,11 +24,11 @@
 
 #include "common/hashing.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/serial.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 #include "core/result_store.hh"
 #include "core/runner.hh"
 #include "core/synth_cache.hh"

@@ -427,11 +427,10 @@ ModelZoo::byName(const std::string &name)
     return {};
 }
 
-LayerTensors
-ModelZoo::synthesize(const ModelProfile &model, const LayerSpec &layer,
-                     double progress, Rng &rng)
+CellSparsity
+effectiveCellSparsity(const ModelProfile &model, const LayerSpec &layer,
+                      double progress)
 {
-    layer.validate(model.name);
     double scale = temporalSparsityScale(model.sparsity.temporal,
                                          progress);
     auto clamp01 = [](double v) { return std::clamp(v, 0.0, 0.995); };
@@ -439,13 +438,35 @@ ModelZoo::synthesize(const ModelProfile &model, const LayerSpec &layer,
                                              : model.sparsity.act;
     double grad_s = layer.grad_sparsity >= 0.0 ? layer.grad_sparsity
                                                : model.sparsity.grad;
-    act_s = clamp01(act_s * scale);
-    grad_s = clamp01(grad_s * scale);
+    CellSparsity sp;
+    sp.act = clamp01(act_s * scale);
+    sp.grad = clamp01(grad_s * scale);
     // Pruned models' weight sparsity follows the same reclaim curve:
     // aggressive early pruning, partially reclaimed by ~5% of epochs.
-    double weight_s = model.sparsity.weight;
+    sp.weight = model.sparsity.weight;
     if (model.sparsity.temporal == TemporalShape::PrunedModel)
-        weight_s = clamp01(weight_s * scale);
+        sp.weight = clamp01(sp.weight * scale);
+    sp.cluster_strength = model.sparsity.cluster_strength;
+    sp.clustered_weights = sp.weight > 0.0;
+    return sp;
+}
+
+CellSparsity
+effectiveCellSparsity(const ModelProfile &model, size_t layer,
+                      double progress)
+{
+    TD_ASSERT(layer < model.layers.size(),
+              "layer %zu out of range for model %s", layer,
+              model.name.c_str());
+    return effectiveCellSparsity(model, model.layers[layer], progress);
+}
+
+LayerTensors
+ModelZoo::synthesize(const ModelProfile &model, const LayerSpec &layer,
+                     double progress, Rng &rng)
+{
+    layer.validate(model.name);
+    const CellSparsity sp = effectiveCellSparsity(model, layer, progress);
 
     LayerTensors t{
         Tensor(model.batch, layer.in_c, layer.in_hw, layer.in_hw),
@@ -462,19 +483,18 @@ ModelZoo::synthesize(const ModelProfile &model, const LayerSpec &layer,
     // 2 (grads) of it.
     const CounterRng layer_gen(rng.key());
     t.acts.fill(1.0f);
-    ClusterParams act_params{act_s, model.sparsity.cluster_strength};
+    ClusterParams act_params{sp.act, sp.cluster_strength};
     applyClusteredSparsity(t.acts, act_params, layer_gen.child(0));
     t.grads.fill(1.0f);
-    ClusterParams grad_params{grad_s, model.sparsity.cluster_strength};
+    ClusterParams grad_params{sp.grad, sp.cluster_strength};
     applyClusteredSparsity(t.grads, grad_params, layer_gen.child(2));
-    if (weight_s > 0.0) {
+    if (sp.clustered_weights) {
         const CounterRng weight_gen = layer_gen.child(1);
         const CounterRng ranks = weight_gen.child(0);
         float *w = t.weights.data();
         for (size_t i = 0; i < t.weights.size(); ++i)
             w[i] = (float)((ranks.at(i) >> 40) + 1) * 0x1p-24f;
-        applyClusteredPruning(t.weights, weight_s,
-                              model.sparsity.cluster_strength,
+        applyClusteredPruning(t.weights, sp.weight, sp.cluster_strength,
                               weight_gen.child(1));
     } else {
         t.weights.fill(1.0f);

@@ -131,6 +131,37 @@ struct LayerTensors
     ConvSpec spec;
 };
 
+/**
+ * Expected per-tensor sparsity of one synthesised cell: what
+ * ModelZoo::synthesize targets for (model, layer, progress), before
+ * any random realisation.
+ */
+struct CellSparsity
+{
+    double act = 0.0;    ///< activation zero fraction
+    double grad = 0.0;   ///< output-gradient zero fraction
+    double weight = 0.0; ///< weight zero fraction (0 = dense weights)
+    double cluster_strength = 0.5;
+
+    /** True when the weights carry clustered pruning structure
+     * (per-filter keep rates); dense-model weights have none. */
+    bool clustered_weights = false;
+};
+
+/**
+ * The sparsity targets of @p layer of @p model at @p progress: the
+ * temporal scaling, per-layer overrides, clamping and pruned-model
+ * weight schedule.  ModelZoo::synthesize realises exactly these, and
+ * the estimator reads them without synthesising.
+ */
+CellSparsity effectiveCellSparsity(const ModelProfile &model,
+                                   const LayerSpec &layer,
+                                   double progress);
+
+/** effectiveCellSparsity() of layer index @p layer of @p model. */
+CellSparsity effectiveCellSparsity(const ModelProfile &model,
+                                   size_t layer, double progress);
+
 /** The paper's model suite. */
 class ModelZoo
 {

@@ -4,6 +4,7 @@
 
 #include "models/model_zoo.hh"
 #include "sim/memory/pipeline.hh"
+#include "sim/mux_pattern.hh"
 
 namespace tensordash {
 namespace service {
@@ -26,7 +27,7 @@ axisValueInRange(AxisKind kind, int64_t v)
       case AxisKind::Cols:
           return v >= 1 && v <= 256;
       case AxisKind::Depth:
-          return v >= 1 && v <= 64;
+          return v >= 1 && v <= MuxPattern::kMaxDepth;
       case AxisKind::Tiles:
           return v >= 1 && v <= 4096;
       case AxisKind::Gating:

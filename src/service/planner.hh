@@ -18,7 +18,7 @@
  * grain — its op cells placed independently — trading duplicated
  * synthesis for a bounded shard makespan.  This is the system's only
  * giant-layer splitter; inside one process, costliest-first claiming
- * is what keeps a skewed layer from tailing the pool.
+ * is what keeps a skewed layer from tailing the sweep.
  */
 
 #include <cstdint>

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "sparsity/temporal.hh"
 
 namespace tensordash {
 
@@ -602,33 +601,6 @@ expectedTdCycles(const AcceleratorConfig &config, const OpGeom &g,
 }
 
 } // namespace
-
-CellSparsity
-effectiveCellSparsity(const ModelProfile &model, size_t layer,
-                      double progress)
-{
-    TD_ASSERT(layer < model.layers.size(),
-              "layer %zu out of range for model %s", layer,
-              model.name.c_str());
-    const LayerSpec &spec = model.layers[layer];
-    double scale =
-        temporalSparsityScale(model.sparsity.temporal, progress);
-    auto clamp01 = [](double v) { return std::clamp(v, 0.0, 0.995); };
-
-    CellSparsity sp;
-    double act_s = spec.act_sparsity >= 0.0 ? spec.act_sparsity
-                                            : model.sparsity.act;
-    double grad_s = spec.grad_sparsity >= 0.0 ? spec.grad_sparsity
-                                              : model.sparsity.grad;
-    sp.act = clamp01(act_s * scale);
-    sp.grad = clamp01(grad_s * scale);
-    sp.weight = model.sparsity.weight;
-    if (model.sparsity.temporal == TemporalShape::PrunedModel)
-        sp.weight = clamp01(sp.weight * scale);
-    sp.cluster_strength = model.sparsity.cluster_strength;
-    sp.clustered_weights = sp.weight > 0.0;
-    return sp;
-}
 
 OpEstimator::OpEstimator(const AcceleratorConfig &config)
     : config_(config),

@@ -55,31 +55,6 @@ namespace tensordash {
  */
 inline constexpr uint64_t kEstimatorVersion = 1;
 
-/**
- * Expected per-tensor sparsity of one synthesised cell: what
- * ModelZoo::synthesize targets for (model, layer, progress), before
- * any random realisation.
- */
-struct CellSparsity
-{
-    double act = 0.0;    ///< activation zero fraction
-    double grad = 0.0;   ///< output-gradient zero fraction
-    double weight = 0.0; ///< weight zero fraction (0 = dense weights)
-    double cluster_strength = 0.5;
-
-    /** True when the weights carry clustered pruning structure
-     * (per-filter keep rates); dense-model weights have none. */
-    bool clustered_weights = false;
-};
-
-/**
- * The sparsity targets ModelZoo::synthesize would realise for this
- * cell — the temporal scaling, per-layer overrides, clamping and
- * pruned-model weight schedule, reproduced without synthesising.
- */
-CellSparsity effectiveCellSparsity(const ModelProfile &model,
-                                   size_t layer, double progress);
-
 /** One estimated (layer, op) cell, shaped like the exact result. */
 struct OpEstimate
 {

@@ -83,8 +83,8 @@ MuxPattern::MuxPattern(int lanes, int depth, std::vector<RelMove> moves)
     TD_ASSERT(lanes_ >= 1, "need at least one lane");
     TD_ASSERT(lanes_ <= 32, "lane masks are 32-bit; %d lanes unsupported",
               lanes_);
-    TD_ASSERT(depth_ >= 1 && depth_ <= 8, "unsupported staging depth %d",
-              depth_);
+    TD_ASSERT(depth_ >= 1 && depth_ <= kMaxDepth,
+              "unsupported staging depth %d", depth_);
     for (const auto &[step, delta] : moves_) {
         TD_ASSERT(step >= 0 && step < depth_,
                   "move step %d outside staging depth %d", step, depth_);

@@ -59,6 +59,11 @@ enum class InterconnectKind
 class MuxPattern
 {
   public:
+    /** Deepest supported staging buffer: the staging window, the
+     * scheduler's per-step masks and the sweep service's depth axis
+     * are all bounded by it. */
+    static constexpr int kMaxDepth = 8;
+
     /**
      * Build a pattern.
      *

@@ -63,7 +63,7 @@ HierarchicalScheduler::schedule(const uint32_t *pending, int valid) const
     // reachable steps are empty, or any lane once Z is exhausted,
     // could never have picked.  Steps beyond `valid` stay zero in z,
     // so options reaching past the window fail the z-test naturally.
-    std::array<uint32_t, 8> z{};
+    std::array<uint32_t, MuxPattern::kMaxDepth> z{};
     int remaining = 0;
     uint32_t nonempty = 0;
     for (int s = 0; s < valid; ++s) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "sim/mux_pattern.hh"
 
 namespace tensordash {
 
@@ -26,7 +27,8 @@ class StagingWindow
     /** @param depth window depth in rows (paper: 3). */
     explicit StagingWindow(int depth) : depth_(depth)
     {
-        TD_ASSERT(depth >= 1 && depth <= 8, "bad staging depth %d", depth);
+        TD_ASSERT(depth >= 1 && depth <= MuxPattern::kMaxDepth,
+                  "bad staging depth %d", depth);
     }
 
     /**

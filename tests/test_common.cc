@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the common substrate: logging, RNG, stats, tables,
- * thread pool.
+ * parallelFor.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -18,10 +22,10 @@
 
 #include "common/counter_rng.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "common/thread_pool.hh"
 
 namespace tensordash {
 namespace {
@@ -273,66 +277,75 @@ TEST(Format, Helpers)
     EXPECT_EQ(fmtPercent(0.425, 1), "42.5%");
 }
 
+// The suite keeps its historical name: it pins parallelFor(), which
+// replaced the ThreadPool class.
+
 TEST(ThreadPool, CoversEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4);
     const size_t n = 1000;
-    std::vector<int> hits(n, 0);
-    pool.parallelFor(n, [&](size_t i) { ++hits[i]; });
-    for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(hits[i], 1) << i;
+    for (int parallelism : {0, 4}) {
+        std::vector<int> hits(n, 0);
+        parallelFor(n, [&](size_t i) { ++hits[i]; }, parallelism);
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_EQ(hits[i], 1) << i << " at parallelism " << parallelism;
+    }
 }
 
 TEST(ThreadPool, ParallelismOneRunsInlineInOrder)
 {
-    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<size_t> order;
-    pool.parallelFor(16, [&](size_t i) { order.push_back(i); }, 1);
+    bool inline_only = true;
+    parallelFor(16, [&](size_t i) {
+        order.push_back(i);
+        inline_only &= std::this_thread::get_id() == caller;
+    }, 1);
     ASSERT_EQ(order.size(), 16u);
     for (size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
-}
-
-TEST(ThreadPool, SingleThreadPoolSpawnsNoWorkers)
-{
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.size(), 1);
-    std::vector<size_t> order;
-    pool.parallelFor(8, [&](size_t i) { order.push_back(i); });
-    ASSERT_EQ(order.size(), 8u);
-    for (size_t i = 0; i < order.size(); ++i)
-        EXPECT_EQ(order[i], i);
+    // A single index needs no helper whatever the parallelism.
+    parallelFor(1, [&](size_t) {
+        inline_only &= std::this_thread::get_id() == caller;
+    }, 4);
+    EXPECT_TRUE(inline_only);
 }
 
 TEST(ThreadPool, PropagatesTheFirstBodyException)
 {
-    ThreadPool pool(4);
+    const size_t n = 256;
     std::atomic<int> ran{0};
-    EXPECT_THROW(pool.parallelFor(64,
-                                  [&](size_t i) {
-                                      ++ran;
-                                      if (i == 3)
-                                          throw std::runtime_error("boom");
-                                  }),
+    std::atomic<int> running{0};
+    EXPECT_THROW(parallelFor(n,
+                             [&](size_t i) {
+                                 ++ran;
+                                 ++running;
+                                 std::this_thread::sleep_for(
+                                     std::chrono::microseconds(200));
+                                 --running;
+                                 if (i == 0)
+                                     throw std::runtime_error("boom");
+                             },
+                             4),
                  std::runtime_error);
     EXPECT_GE(ran.load(), 1);
+    // Indices not claimed before the throw are skipped...
+    EXPECT_LT(ran.load(), (int)n);
+    // ...and no body outlives the call.
+    EXPECT_EQ(running.load(), 0);
 }
 
 TEST(ThreadPool, NestedParallelForCoversEveryIndex)
 {
     // A body that fans out again must not deadlock or drop indices:
-    // the nested call publishes its own job (idle workers may help)
-    // and the submitting thread drives its range to completion.
-    ThreadPool pool(4);
+    // the nested call starts its own helpers.
     std::atomic<int> total{0};
     std::vector<std::array<std::atomic<int>, 8>> hits(8);
-    pool.parallelFor(8, [&](size_t outer) {
-        pool.parallelFor(8, [&](size_t inner) {
+    parallelFor(8, [&](size_t outer) {
+        parallelFor(8, [&](size_t inner) {
             ++hits[outer][inner];
             ++total;
-        });
-    });
+        }, 4);
+    }, 4);
     EXPECT_EQ(total.load(), 64);
     for (auto &row : hits)
         for (auto &h : row)
@@ -341,16 +354,14 @@ TEST(ThreadPool, NestedParallelForCoversEveryIndex)
 
 TEST(ThreadPool, NestedParallelForOnSingleThreadPoolRunsInline)
 {
-    // The no-deadlock regression: a 1-thread pool has no helpers, so a
-    // nested submit must degrade to the caller running its whole range
-    // inline, in index order, without ever blocking on a worker.
-    ThreadPool pool(1);
+    // At parallelism 1 a nested call runs its whole range inline, in
+    // index order, inside the outer body.
     std::vector<std::pair<size_t, size_t>> order;
-    pool.parallelFor(3, [&](size_t outer) {
-        pool.parallelFor(3, [&](size_t inner) {
+    parallelFor(3, [&](size_t outer) {
+        parallelFor(3, [&](size_t inner) {
             order.emplace_back(outer, inner);
-        });
-    });
+        }, 1);
+    }, 1);
     ASSERT_EQ(order.size(), 9u);
     for (size_t i = 0; i < order.size(); ++i) {
         EXPECT_EQ(order[i].first, i / 3);
@@ -360,57 +371,68 @@ TEST(ThreadPool, NestedParallelForOnSingleThreadPoolRunsInline)
 
 TEST(ThreadPool, NestedParallelForPropagatesExceptions)
 {
-    ThreadPool pool(4);
     std::atomic<int> outer_failures{0};
-    pool.parallelFor(4, [&](size_t) {
+    parallelFor(4, [&](size_t) {
         try {
-            pool.parallelFor(8, [&](size_t i) {
+            parallelFor(8, [&](size_t i) {
                 if (i == 5)
                     throw std::runtime_error("inner boom");
-            });
+            }, 4);
         } catch (const std::runtime_error &) {
             ++outer_failures;
         }
-    });
+    }, 4);
     EXPECT_EQ(outer_failures.load(), 4);
 }
 
 TEST(ThreadPool, ConcurrentTopLevelParallelForCalls)
 {
-    // Independent jobs published from different threads coexist on one
-    // pool; each call sees exactly its own range.
-    ThreadPool pool(4);
+    // Calls from different threads coexist; each sees exactly its own
+    // range.
     std::array<std::atomic<int>, 2> totals{};
     std::thread other([&] {
-        pool.parallelFor(100, [&](size_t) { ++totals[0]; });
+        parallelFor(100, [&](size_t) { ++totals[0]; }, 4);
     });
-    pool.parallelFor(100, [&](size_t) { ++totals[1]; });
+    parallelFor(100, [&](size_t) { ++totals[1]; }, 4);
     other.join();
     EXPECT_EQ(totals[0].load(), 100);
     EXPECT_EQ(totals[1].load(), 100);
 }
 
-TEST(ThreadPool, GrowsToHonourExplicitParallelism)
+TEST(ThreadPool, ExplicitParallelismRunsThatManyAtOnce)
 {
-    // An explicit parallelism above the pool's size must win over the
-    // size the pool started with (RunConfig::threads beats TD_THREADS).
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.size(), 1);
-    std::vector<int> hits(64, 0);
-    pool.parallelFor(hits.size(), [&](size_t i) { ++hits[i]; }, 4);
-    EXPECT_EQ(pool.size(), 4);
-    for (size_t i = 0; i < hits.size(); ++i)
-        EXPECT_EQ(hits[i], 1) << i;
+    // Four bodies that each wait for all four to arrive are released
+    // only by four concurrent executors, the caller among them, so an
+    // explicit parallelism is honoured whatever the default (as
+    // RunConfig::threads beats TD_THREADS).
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mu;
+    std::condition_variable cv;
+    // All three guarded by mu.
+    int arrived = 0;
+    std::array<bool, 4> met{};
+    std::array<bool, 4> on_caller{};
+    parallelFor(4, [&](size_t i) {
+        std::unique_lock<std::mutex> lock(mu);
+        on_caller[i] = std::this_thread::get_id() == caller;
+        ++arrived;
+        cv.notify_all();
+        met[i] = cv.wait_for(lock, std::chrono::seconds(5),
+                             [&] { return arrived == 4; });
+    }, 4);
+    std::lock_guard<std::mutex> lock(mu);
+    for (size_t i = 0; i < met.size(); ++i)
+        EXPECT_TRUE(met[i]) << "body " << i << " timed out";
+    EXPECT_EQ(std::count(on_caller.begin(), on_caller.end(), true), 1);
 }
 
 TEST(ThreadPool, ReusableAcrossJobs)
 {
-    ThreadPool pool(3);
     for (int round = 0; round < 5; ++round) {
         std::vector<uint64_t> out(100, 0);
-        pool.parallelFor(out.size(), [&](size_t i) {
+        parallelFor(out.size(), [&](size_t i) {
             out[i] = (uint64_t)i * (uint64_t)(round + 1);
-        });
+        }, 3);
         uint64_t sum = std::accumulate(out.begin(), out.end(),
                                        (uint64_t)0);
         EXPECT_EQ(sum, (uint64_t)4950 * (uint64_t)(round + 1));
@@ -424,12 +446,12 @@ TEST(ThreadPool, DefaultThreadCountHonoursTdThreadsEnv)
         std::snprintf(saved, sizeof saved, "%s", old);
 
     setenv("TD_THREADS", "3", 1);
-    EXPECT_EQ(ThreadPool::defaultThreadCount(), 3);
+    EXPECT_EQ(defaultThreadCount(), 3);
     // Invalid values fall back to hardware concurrency (>= 1).
     setenv("TD_THREADS", "zero", 1);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1);
+    EXPECT_GE(defaultThreadCount(), 1);
     setenv("TD_THREADS", "-2", 1);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1);
+    EXPECT_GE(defaultThreadCount(), 1);
 
     if (saved[0])
         setenv("TD_THREADS", saved, 1);

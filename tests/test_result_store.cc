@@ -70,7 +70,7 @@ storeConfig(uint64_t seed)
     cfg.accel.tiles = 2;
     cfg.accel.max_sampled_macs = 20000;
     cfg.seed = seed;
-    // Pool default on purpose: under the TSan CI job (TD_THREADS=4)
+    // Default parallelism on purpose: under the TSan CI job (TD_THREADS=4)
     // this exercises the cache lookup/insert path from concurrent
     // claim-loop threads.  Results are thread-count independent.
     cfg.threads = 0;

@@ -398,9 +398,8 @@ TEST(RunnerEngine, EmptyModelPanics)
 
 TEST(RunnerEngine, NegativeThreadCountPanics)
 {
-    // A negative count used to fall through to the pool sizing path
-    // and silently behave like "use the whole pool"; it must be
-    // rejected at the API boundary instead.
+    // A negative count would silently behave like the default
+    // parallelism; it must be rejected at the API boundary instead.
     setLogThrowMode(true);
     RunConfig cfg = fastConfig();
     cfg.threads = -1;

@@ -320,6 +320,14 @@ TEST(JobSpec, ValidateRejectsLoudly)
         EXPECT_NE(j.validate().find("rows"), std::string::npos);
     }
     {
+        // Deeper than any staging buffer the simulator can build.
+        JobSpec j = tinyZooJob();
+        j.axes = {{AxisKind::Depth, {9}}};
+        EXPECT_NE(j.validate().find("depth"), std::string::npos);
+        j.axes = {{AxisKind::Depth, {8}}};
+        EXPECT_EQ(j.validate(), "");
+    }
+    {
         JobSpec j = tinyZooJob();
         j.axes = {{AxisKind::Gating, {2}}};
         EXPECT_NE(j.validate(), "");

@@ -72,7 +72,7 @@ specConfig(uint64_t seed)
     cfg.accel.tiles = 2;
     cfg.accel.max_sampled_macs = 20000;
     cfg.seed = seed;
-    cfg.threads = 0; // pool default: exercises concurrent claims
+    cfg.threads = 0; // default parallelism: exercises concurrent claims
     return cfg;
 }
 

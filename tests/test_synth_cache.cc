@@ -5,14 +5,15 @@
  * multi-variant geometry sweep synthesizes each cell once, a shared
  * synthesis is bit-identical to each variant run alone at any thread
  * count and under both memory models, an entry lives from its first
- * retain to its last release so a returned sweep holds nothing, and
- * custom synthesize hooks key on their salt.
+ * retain to its last release so a returned or thrown sweep holds
+ * nothing, and custom synthesize hooks key on their salt.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/logging.hh"
@@ -75,7 +76,7 @@ specConfig(uint64_t seed)
     cfg.accel.tiles = 2;
     cfg.accel.max_sampled_macs = 20000;
     cfg.seed = seed;
-    cfg.threads = 0; // pool default: exercises concurrent claims
+    cfg.threads = 0; // default parallelism: exercises concurrent claims
     // Bit-identity tests compare runs that share cells: the result
     // memo would serve the repeat without simulating, hiding exactly
     // the synthesis paths under test.
@@ -390,6 +391,27 @@ TEST(SynthCacheTest, SweepsLeaveNothingResident)
             EXPECT_EQ(partial.presentCount(), 1u);
         }
         expectNothingResident("cancelled sweep");
+    }
+
+    // A sweep whose synthesize hook throws: the thrower and the tasks
+    // left unclaimed release their uses too.
+    for (int threads : {1, 4}) {
+        RunConfig c = specConfig(9750);
+        c.threads = threads;
+        SweepSpec throwing = spec;
+        throwing.synthesis_salt = 19;
+        throwing.synthesize = [](const RunConfig &cfg,
+                                 const ModelProfile &m, size_t layer,
+                                 double progress) {
+            if (layer == 1)
+                throw std::runtime_error("synthesis failed");
+            Rng rng(cfg.seed + layer);
+            return ModelZoo::synthesize(m, m.layers[layer], progress,
+                                        rng);
+        };
+        EXPECT_THROW(ModelRunner(c).runSweep(throwing),
+                     std::runtime_error);
+        expectNothingResident("sweep that threw");
     }
 }
 
