@@ -79,32 +79,43 @@ filterConcentration(double strength)
  * E[f(X)] for X ~ Beta(a, b) by midpoint quadrature with the edge
  * substitutions t = x^a (left) and u = (1-x)^b (right), which absorb
  * the integrable endpoint singularities of small shape parameters.
+ * Built once per (a, b), it serves every expectation over that Beta.
  */
-template <typename F>
-double
-betaExpect(double a, double b, F &&f)
+struct BetaQuadrature
 {
-    constexpr int kN = 32;
-    // lgamma_r, not std::lgamma: the latter also writes the global
-    // signgam, a data race when estimate-tier tasks run in parallel.
-    int sign = 0;
-    double norm = std::exp(::lgamma_r(a, &sign) + ::lgamma_r(b, &sign) -
-                           ::lgamma_r(a + b, &sign));
-    double total = 0.0;
-    double hi = std::pow(0.5, a);
-    for (int i = 0; i < kN; ++i) {
-        double t = hi * (i + 0.5) / kN;
-        double x = std::pow(t, 1.0 / a);
-        total += hi / kN * std::pow(1.0 - x, b - 1.0) / a * f(x);
+    static constexpr int kN = 32; ///< midpoint nodes per edge
+    double x[2 * kN], w[2 * kN];  ///< nodes and their weights
+    double norm;                  ///< B(a, b)
+
+    BetaQuadrature(double a, double b)
+    {
+        // lgamma_r, not std::lgamma: the latter also writes the global
+        // signgam, a data race when estimate-tier tasks run in parallel.
+        int sign = 0;
+        norm = std::exp(::lgamma_r(a, &sign) + ::lgamma_r(b, &sign) -
+                        ::lgamma_r(a + b, &sign));
+        double hi = std::pow(0.5, a);
+        for (int i = 0; i < kN; ++i) {
+            x[i] = std::pow(hi * (i + 0.5) / kN, 1.0 / a);
+            w[i] = hi / kN * std::pow(1.0 - x[i], b - 1.0) / a;
+        }
+        hi = std::pow(0.5, b);
+        for (int i = 0; i < kN; ++i) {
+            x[kN + i] = 1.0 - std::pow(hi * (i + 0.5) / kN, 1.0 / b);
+            w[kN + i] = hi / kN * std::pow(x[kN + i], a - 1.0) / b;
+        }
     }
-    hi = std::pow(0.5, b);
-    for (int i = 0; i < kN; ++i) {
-        double u = hi * (i + 0.5) / kN;
-        double x = 1.0 - std::pow(u, 1.0 / b);
-        total += hi / kN * std::pow(x, a - 1.0) / b * f(x);
+
+    template <typename F>
+    double
+    expect(F &&f) const
+    {
+        double total = 0.0;
+        for (int i = 0; i < 2 * kN; ++i)
+            total += w[i] * f(x[i]);
+        return total / norm;
     }
-    return total / norm;
-}
+};
 
 /**
  * Expected *realised* weight density of clustered magnitude pruning
@@ -128,9 +139,10 @@ realizedPrunedDensity(double keep_mean, double strength,
     if (a <= 0.0 || b <= 0.0)
         return std::clamp(keep_mean, 0.0, 1.0);
     double ps = (double)per_slice;
-    double got = betaExpect(a, b, [&](double bv) {
+    const BetaQuadrature beta(a, b);
+    double got = beta.expect([&](double bv) {
         double mc = (0.25 + bv / std::max(keep_mean, 1e-6)) / 1.25;
-        return betaExpect(a, b, [&](double kfv) {
+        return beta.expect([&](double kfv) {
             double kf = std::clamp(kfv, 0.02, 1.0);
             double keep = std::clamp(kf * mc, 0.0, 1.0);
             double prune =
@@ -344,12 +356,13 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
     // Pruned weights land *below* their keep target (clamping and
     // per-slice rounding in applyClusteredPruning); the simulator
     // works from measured sparsity, so the estimator must too.
+    // Backward-weights reads no weights and skips the quadrature.
     double dw = 1.0;
-    if (sp.weight > 0.0 && sp.clustered_weights)
-        dw = realizedPrunedDensity(1.0 - sp.weight, sp.cluster_strength,
-                                   (uint64_t)K * K);
-    else if (sp.weight > 0.0)
-        dw = 1.0 - sp.weight;
+    if (op != TrainOp::BackwardWeights && sp.weight > 0.0)
+        dw = sp.clustered_weights
+            ? realizedPrunedDensity(1.0 - sp.weight, sp.cluster_strength,
+                                    (uint64_t)K * K)
+            : 1.0 - sp.weight;
     double sw = 1.0 - dw; ///< realised weight sparsity
     double k_map = mapConcentration(sp.cluster_strength);
     double k_filt = filterConcentration(sp.cluster_strength);

@@ -3,13 +3,15 @@
  * Tests for the closed-form estimator tier: estimator-vs-exact error
  * bounds across the zoo under both memory models, estimate-tier
  * TaskKey isolation (estimates can never shadow exact results), the
- * batch-override axis, triage-and-refine, and bit-identity of the
- * estimator-keyed claim order at any thread count.
+ * batch-override axis, triage-and-refine, bit-identity of the
+ * estimator-keyed claim order at any thread count, and known answers
+ * for the pruned models' cost keys and estimates.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -210,6 +212,84 @@ TEST(EstimateTier, EstimateRunsAreDeterministic)
     // Sparser inputs must estimate faster: the ranking the triage
     // tier exists to produce.
     EXPECT_GT(a.at(0).speedup(), a.at(1).speedup());
+}
+
+TEST(Estimator, PrunedModelsKnownAnswer)
+{
+    // Every claim-cost key and estimate of the two 90%-pruned
+    // ResNet-50s, pinned bit for bit at three progress points.  At
+    // fig13's config (activation and gradient sides) the realised
+    // pruned density reaches only the rounded DRAM traffic; with AxW
+    // and AxG scheduled on the weights it is the B side's density, so
+    // drift in the quadrature's nodes, weights or summation order must
+    // fail here, not as a silently different claim order or
+    // estimate-tier CSV.
+    struct Known
+    {
+        const char *model;
+        double progress;
+        bool weights_side;
+        uint64_t sim_cost;
+        uint64_t estimate;
+    };
+    const Known known[] = {
+        {"resnet50_DS90", 0.02, false, 0x52262dcc64cb4f7cull,
+         0xaf4a71e30a837ce0ull},
+        {"resnet50_DS90", 0.05, false, 0x7c25172618dc054aull,
+         0x5709a2ac9a950c86ull},
+        {"resnet50_DS90", 0.5, false, 0x9360781969853411ull,
+         0x5f30cbe2512e3ef1ull},
+        {"resnet50_SM90", 0.02, false, 0xc847292a76f61e64ull,
+         0x3c8630dbf99948dfull},
+        {"resnet50_SM90", 0.05, false, 0xb56445a3dbea713cull,
+         0x3ea28d8a14626a7eull},
+        {"resnet50_SM90", 0.5, false, 0x292748bfb6f8093eull,
+         0x4784e3daf887b8b2ull},
+        {"resnet50_DS90", 0.02, true, 0x8721421c846a9bcbull,
+         0xdacecfdd1067989dull},
+        {"resnet50_DS90", 0.05, true, 0x837a77d2e4de282eull,
+         0x84fc53b5f688c198ull},
+        {"resnet50_DS90", 0.5, true, 0xcebcb0b54363b8aaull,
+         0xc2f44819dc81fa39ull},
+        {"resnet50_SM90", 0.02, true, 0x2a604536e3dc6f27ull,
+         0x1cc261aff8f80e16ull},
+        {"resnet50_SM90", 0.05, true, 0x3651395d33eed456ull,
+         0xa87746da3a07dff1ull},
+        {"resnet50_SM90", 0.5, true, 0xff6ccf62c216cb9dull,
+         0x2310a86eaea161c1ull},
+    };
+    for (const Known &k : known) {
+        ModelProfile m = ModelZoo::byName(k.model);
+        RunConfig cfg;
+        cfg.accel.max_sampled_macs = 600000;
+        cfg.accel.wg_side = m.wg_side;
+        if (k.weights_side) {
+            cfg.accel.fwd_side = FwdSide::Weights;
+            cfg.accel.bwd_data_side = BwdDataSide::Weights;
+        }
+        OpEstimator est(cfg.accel);
+        FnvHasher cost, estimate;
+        for (const LayerSpec &l : m.layers) {
+            CellSparsity sp = effectiveCellSparsity(m, l, k.progress);
+            for (TrainOp op : phaseOps(WorkloadPhase::Training)) {
+                cost.u64(std::bit_cast<uint64_t>(
+                    OpEstimator::estimateSimCost(cfg.accel, l, m.batch,
+                                                 op, sp)));
+                OpEstimate e = est.estimateOp(l, m.batch, op, sp);
+                ByteWriter w;
+                OpCellResult{e.op, e.energy_base, e.energy_td}.serialize(w);
+                for (uint8_t b : w.data())
+                    estimate.u64(b);
+            }
+        }
+        const char *sides = k.weights_side ? "weights" : "default";
+        EXPECT_EQ(cost.hex(), FnvHasher::toHex(k.sim_cost))
+            << k.model << " at " << k.progress << ", " << sides
+            << " sides";
+        EXPECT_EQ(estimate.hex(), FnvHasher::toHex(k.estimate))
+            << k.model << " at " << k.progress << ", " << sides
+            << " sides";
+    }
 }
 
 TEST(ClaimOrder, EstimatorCostKeyIsBitIdenticalAtAnyThreadCount)
