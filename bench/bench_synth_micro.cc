@@ -3,9 +3,9 @@
  * Google-benchmark microbenchmarks of the synthesis/measure kernels:
  * dropout, clustered Beta maps, magnitude/clustered pruning, per-map
  * density measurement, nonzero counting, and one end-to-end layer
- * synthesis.  These are the per-key cost the SynthCache amortises
+ * synthesis.  These are the per-key cost one synthesis amortises
  * across geometry variants — and what the pointer-walk kernel
- * rewrites speed up even for the first task of a key.
+ * rewrites speed up even for a key read by a single slot.
  *
  * Mutating kernels copy a pristine tensor per iteration so every
  * iteration sees the same input; BM_TensorCopy is that baseline.

@@ -357,10 +357,10 @@ runFigure(const Options &opts, BuildFn &&build)
 /** Report the sweep's cache effectiveness plus the process-wide
  * store's hit/miss/insert split (CI greps this line; `simulated=`
  * stays the final field so `simulated=0$` anchors).  The `[synth]`
- * line reports the process-wide synthesis cache the same way: a cold
- * N-variant geometry sweep shows `keys=` at the single-variant cell
- * count and `reuses=` covering the other N-1 variants (CI anchors on
- * it; `reuses=` stays the final field). */
+ * line reports the process-wide synthesis counters the same way: a
+ * cold N-variant geometry sweep shows `keys=` at the single-variant
+ * cell count and `reuses=` covering the other N-1 variants (CI
+ * anchors on it; `reuses=` stays the final field). */
 inline void
 reportCache(const SweepResult &sweep)
 {

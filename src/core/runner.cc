@@ -5,6 +5,7 @@
 #include <bit>
 #include <limits>
 #include <mutex>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -87,40 +88,19 @@ struct SweepUnit
 };
 
 /**
- * Coordinates of one stateless simulation task.  A task covers one
- * layer and runs its phase's whole op set: results are cached per
- * (layer, op) cell, but finer per-op *tasks* would synthesize each
- * layer's tensors once per op, and a (variant x model x layer) grid
- * already yields far more tasks than threads.  Synthesis is lazy — a
- * task whose cells all hit the cache never materialises its tensors.
+ * One layer slot of the serial (unit, layer) grid: where a layer's op
+ * cells land.  Slots whose cells read one SynthKey run as one task
+ * (see runGrid).
  */
-struct SimTask
+struct LayerSlot
 {
     size_t unit;
     size_t layer;
-
-    /** Position in the serial (unit, layer) grid: where results land,
-     * fixed before tasks are filtered to the owned cells and reordered
-     * for load balancing. */
-    size_t slot;
 
     /** Index of this layer's first op cell in the enumeration's cell
      * list (variants can differ in op count, so cell offsets are not a
      * multiple of the slot). */
     size_t first_cell;
-
-    /** Estimated cost of simulating this task under its variant's
-     * effective config (claim-order sort key): the closed-form
-     * estimator's per-op simulation cost plus the layer's synthesis
-     * volume.  Unlike raw dense MACs, this sees the sampling cap, the
-     * per-job gather/schedule volume and the sparse front end's
-     * expected cycle reduction, so a sampling-capped variant of a
-     * huge layer no longer outranks genuinely costlier cells.
-     * Synthesis volume is charged only to the first task of each
-     * SynthKey — its siblings reuse the tensors — which both keeps
-     * costliest-first ordering honest and sorts the synthesizing task
-     * ahead of its reusers. */
-    double est_cost;
 };
 
 /** Synthesis volume of one layer's tensors (elements of acts +
@@ -136,64 +116,55 @@ synthesisCost(const LayerSpec &layer, int batch)
            (double)batch * (double)layer.out_c * ohw;
 }
 
-/** Synthesise one layer's tensors from a private copy of its stream. */
+/** Synthesize one layer's tensors: the sweep's hook if it has one,
+ * else the zoo from a private copy of the layer's stream. */
 LayerTensors
-synthesizeLayer(const SweepUnit &unit, size_t layer)
+synthesizeLayer(const SweepSpec &spec, const SweepUnit &unit,
+                size_t layer)
 {
+    if (spec.synthesize)
+        return spec.synthesize(*unit.config, *unit.model, layer,
+                               unit.progress);
     Rng layer_rng = (*unit.layer_rngs)[layer];
     return ModelZoo::synthesize(*unit.model, unit.model->layers[layer],
                                 unit.progress, layer_rng);
 }
 
 /**
- * Simulate the missing op cells of one layer on a task-private
- * Accelerator: synthesize -> (observe + freeze the gating table) ->
- * lower -> simulate each op whose bit is set in @p missing.  Depends
- * only on the variant's config and the unit — everything the TaskKey
- * fingerprints — so tasks run in any order on any thread and results
- * memoise exactly, per cell.
+ * Simulate the missing op cells of one layer slot on a private
+ * Accelerator: (observe + freeze the gating table) -> lower ->
+ * simulate each op whose bit is set in @p missing.  Depends only on
+ * the variant's config, the unit and the layer's tensors @p st —
+ * everything the TaskKey fingerprints — so slots run in any order on
+ * any thread and results memoise exactly, per cell.
  *
- * The observe phase lives inside the task: gating decisions depend
+ * The observe phase lives inside the slot: gating decisions depend
  * only on the layer's own measured zero fractions (the serial driver
  * overwrote its per-operand counters each layer), so the frozen table
- * of section 3.5 is a pure function of tensors the task synthesizes
- * anyway, and no cross-layer mutable state remains.  Crucially none of
- * this depends on *which* cells missed: a cell simulated to fill an
- * inference sweep's gap is bit-identical to the one a full training
- * run produces.
- *
- * Tensors come from the process-wide SynthCache, where runGrid
- * retained the task's SynthKey: the first task of each key synthesizes
- * (under the key's own latch), every geometry sibling reuses the ready
- * tensors and their pre-measured sparsities.
+ * of section 3.5 is a pure function of the layer's tensors, and no
+ * cross-layer mutable state remains.  Crucially none of this depends
+ * on *which* cells missed: a cell simulated to fill an inference
+ * sweep's gap is bit-identical to the one a full training run
+ * produces.
  */
 void
-simulateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
-                const SimTask &task, SynthKey synth_key,
-                std::span<const TrainOp> ops, uint32_t missing,
-                LayerResult *out)
+simulateSlotOps(const SweepSpec &spec, const SweepUnit &unit,
+                const SynthTensors &st, std::span<const TrainOp> ops,
+                uint32_t missing, LayerResult *out)
 {
     const RunConfig &config = *unit.config;
     AcceleratorConfig accel_cfg = config.accel;
     accel_cfg.wg_side = unit.model->wg_side;
     Accelerator accel(accel_cfg);
 
-    auto synth = [&] {
-        return spec.synthesize
-            ? spec.synthesize(config, *unit.model, task.layer,
-                              unit.progress)
-            : synthesizeLayer(unit, task.layer);
-    };
-    std::shared_ptr<const SynthTensors> st =
-        SynthCache::shared().acquire(synth_key, synth);
-    const LayerTensors &t = st->tensors;
+    const LayerTensors &t = st.tensors;
     if (config.accel.power_gating) {
         // Observe -> freeze: decisions are immutable before any op of
         // this layer simulates.
         GateObservations obs;
-        obs.sparsity["acts"] = st->act_sparsity;
-        obs.sparsity["grads"] = st->grad_sparsity;
-        obs.sparsity["weights"] = st->weight_sparsity;
+        obs.sparsity["acts"] = st.act_sparsity;
+        obs.sparsity["grads"] = st.grad_sparsity;
+        obs.sparsity["weights"] = st.weight_sparsity;
         accel.powerGate().freezeFrom(obs);
     }
     // Output write-back sparsity estimates, indexed by TrainOp: O
@@ -202,8 +173,8 @@ simulateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
     // back dense instead.
     double out_sparsity[3] = {0.0, 0.0, 0.0};
     if (spec.estimate_out_sparsity) {
-        out_sparsity[(int)TrainOp::Forward] = st->act_sparsity;
-        out_sparsity[(int)TrainOp::BackwardData] = st->grad_sparsity;
+        out_sparsity[(int)TrainOp::Forward] = st.act_sparsity;
+        out_sparsity[(int)TrainOp::BackwardData] = st.grad_sparsity;
     }
     for (size_t j = 0; j < ops.size(); ++j) {
         if (!(missing & (1u << j)))
@@ -219,7 +190,7 @@ simulateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
 
 /**
  * Estimate the missing op cells of one layer: the Fidelity::Estimate
- * twin of simulateTaskOps.  Pure closed form — no tensors are
+ * twin of simulateSlotOps.  Pure closed form — no tensors are
  * synthesised and no MAC is scheduled; the expected synthesis targets
  * (effectiveCellSparsity) stand in for measured sparsities, including
  * the write-back estimate the exact path measures.  Like its twin it
@@ -227,8 +198,8 @@ simulateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
  * cells memoise per TaskKey exactly the same way.
  */
 void
-estimateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
-                const SimTask &task, std::span<const TrainOp> ops,
+estimateSlotOps(const SweepSpec &spec, const SweepUnit &unit,
+                size_t layer_index, std::span<const TrainOp> ops,
                 uint32_t missing, LayerResult *out)
 {
     const ModelProfile &model = *unit.model;
@@ -236,13 +207,13 @@ estimateTaskOps(const SweepSpec &spec, const SweepUnit &unit,
     accel_cfg.wg_side = model.wg_side;
     OpEstimator est(accel_cfg);
     CellSparsity sp =
-        effectiveCellSparsity(model, task.layer, unit.progress);
+        effectiveCellSparsity(model, layer_index, unit.progress);
     double out_sparsity[3] = {0.0, 0.0, 0.0};
     if (spec.estimate_out_sparsity) {
         out_sparsity[(int)TrainOp::Forward] = sp.act;
         out_sparsity[(int)TrainOp::BackwardData] = sp.grad;
     }
-    const LayerSpec &layer = model.layers[task.layer];
+    const LayerSpec &layer = model.layers[layer_index];
     for (size_t j = 0; j < ops.size(); ++j) {
         if (!(missing & (1u << j)))
             continue;
@@ -266,8 +237,8 @@ struct GridEnumeration
     std::vector<ModelProfile> batch_models;
     std::vector<SweepUnit> units;
 
-    /** One task per layer slot, in serial slot order. */
-    std::vector<SimTask> tasks;
+    /** Every layer slot, in serial slot order. */
+    std::vector<LayerSlot> slots;
 
     /** Every op cell in serial order (cells[i].cell == i): the plan
      * planSweep() returns, with its costs filled by priceGrid(). */
@@ -342,9 +313,8 @@ enumerateGrid(const Grid &grid)
                 unit.progress = progress;
                 unit.layer_rngs = &e.grid_rngs[v * models.size() + m];
                 for (size_t l = 0; l < model->layers.size(); ++l) {
-                    const size_t slot = e.tasks.size();
-                    e.tasks.push_back(
-                        {e.units.size(), l, slot, e.cells.size(), 0.0});
+                    const size_t slot = e.slots.size();
+                    e.slots.push_back({e.units.size(), l, e.cells.size()});
                     const uint64_t skey =
                         SynthKey::forCell(config, models[m], l,
                                           progress, salt)
@@ -369,35 +339,29 @@ enumerateGrid(const Grid &grid)
 }
 
 /**
- * Fill every cell's est_cost/synth_cost and every task's claim cost.
- * Only the first task of each SynthKey pays synthesis: its geometry
- * siblings reuse the tensors.
+ * Fill every cell's est_cost and synth_cost.  Only the first exact
+ * slot of each SynthKey pays synthesis: the task that runs the key's
+ * slots synthesizes once for all of them.
  */
 void
 priceGrid(GridEnumeration *e)
 {
-    // SynthKeys whose synthesis cost has been charged to a task:
-    // geometry variants share keys, and only the first task of a key
-    // actually synthesizes.
     std::unordered_set<uint64_t> charged_synth;
-    for (SimTask &task : e->tasks) {
-        const SweepUnit &unit = e->units[task.unit];
+    for (const LayerSlot &slot : e->slots) {
+        const SweepUnit &unit = e->units[slot.unit];
         const ModelProfile &model = *unit.model;
-        const LayerSpec &layer = model.layers[task.layer];
+        const LayerSpec &layer = model.layers[slot.layer];
         std::span<const TrainOp> ops = phaseOps(unit.config->phase);
-        GridCellInfo *cells = &e->cells[task.first_cell];
+        GridCellInfo *cells = &e->cells[slot.first_cell];
         const bool estimate =
             unit.config->fidelity == Fidelity::Estimate;
         AcceleratorConfig accel_cfg = unit.config->accel;
         accel_cfg.wg_side = model.wg_side;
         CellSparsity sp =
-            effectiveCellSparsity(model, task.layer, unit.progress);
-        // Estimate-tier tasks never synthesize; exact tasks pay
-        // synthesis once per key (every reuser rides the first task's
-        // tensors).
+            effectiveCellSparsity(model, slot.layer, unit.progress);
+        // Estimate-tier slots never synthesize.
         if (!estimate && charged_synth.insert(cells[0].synth_key).second)
             cells[0].synth_cost = synthesisCost(layer, model.batch);
-        task.est_cost = cells[0].synth_cost;
         for (size_t j = 0; j < ops.size(); ++j) {
             // An estimate cell costs one closed-form evaluation
             // whatever its layer, about as much as pricing its
@@ -406,7 +370,6 @@ priceGrid(GridEnumeration *e)
                 ? 1.0
                 : OpEstimator::estimateSimCost(accel_cfg, layer,
                                                model.batch, ops[j], sp);
-            task.est_cost += cells[j].est_cost;
         }
     }
 }
@@ -489,15 +452,15 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
     // when variants, models, points and every task key agree.
     sweep.fingerprint = gridFingerprint(grid, e);
 
-    const std::vector<SimTask> &tasks = e.tasks;
-    sweep.layer_results.resize(tasks.size());
-    sweep.present.assign(tasks.size(), 0);
+    const size_t nslots = e.slots.size();
+    sweep.layer_results.resize(nslots);
+    sweep.present.assign(nslots, 0);
 
     // Fold the owned op cells into per-slot masks (a shard owns whole
     // slots; the sweep service's planner may scatter a giant layer's
-    // cells across runs); tasks whose mask stays empty are not owned
+    // cells across runs); slots whose mask stays empty are not owned
     // at all.
-    std::vector<uint8_t> own_mask(tasks.size(), 0);
+    std::vector<uint8_t> own_mask(nslots, 0);
     for (size_t c : cells) {
         TD_ASSERT(c < e.cells.size(),
                   "owned cell %zu out of range (grid has %zu op cells)",
@@ -506,133 +469,130 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
             (uint8_t)(1u << e.cells[c].op_index);
     }
 
-    // The owned slice of the grid, claimed costliest-first so a huge
-    // layer picked up late cannot leave the sweep tailing on one
-    // thread; tasks from every config variant interleave in the one
-    // claim loop.  Results land in pre-assigned slots and the reduce
-    // walks serial order, so neither the ownership split nor the claim
-    // order ever affects the output.
-    std::vector<SimTask> owned;
-    for (const SimTask &task : tasks)
-        if (own_mask[task.slot])
-            owned.push_back(task);
-    std::stable_sort(owned.begin(), owned.end(),
-                     [](const SimTask &a, const SimTask &b) {
-                         return a.est_cost > b.est_cost;
+    // One task per synthesized layer: the owned slots grouped by the
+    // SynthKey their cells read (a layer's geometry variants and both
+    // of its phases), in serial slot order within each group.  A
+    // task synthesizes at most once and frees the tensors when it
+    // returns, so a sweep holds one layer per running task.  Groups
+    // are claimed costliest-first so a huge layer picked up late
+    // cannot leave the sweep tailing on one thread; results land in
+    // pre-assigned slots and the reduce walks serial order, so
+    // neither the ownership split nor the claim order ever affects
+    // the output.
+    struct SynthGroup
+    {
+        std::vector<size_t> slots;
+        double cost = 0.0; ///< the slots' est_cost + synth_cost
+    };
+    std::vector<SynthGroup> groups;
+    std::unordered_map<uint64_t, size_t> group_of;
+    size_t owned_slots = 0;
+    for (const GridCellInfo &c : e.cells) {
+        if (!own_mask[c.slot])
+            continue;
+        auto [it, fresh] = group_of.try_emplace(c.synth_key, groups.size());
+        if (fresh)
+            groups.emplace_back();
+        SynthGroup &g = groups[it->second];
+        if (c.op_index == 0) {
+            g.slots.push_back(c.slot);
+            ++owned_slots;
+        }
+        g.cost += c.est_cost + c.synth_cost;
+    }
+    std::stable_sort(groups.begin(), groups.end(),
+                     [](const SynthGroup &a, const SynthGroup &b) {
+                         return a.cost > b.cost;
                      });
-    auto synthKey = [&](const SimTask &task) {
-        return SynthKey{e.cells[task.first_cell].synth_key};
-    };
-
-    // Every owned exact task may read its layer's tensors, so each
-    // holds one use of its SynthKey until it is done, on every path:
-    // the last reader frees the tensors, and a returned or thrown
-    // sweep holds nothing.  released[i] is written only by the task
-    // that owns index i, or after the claim loop has joined.
-    SynthCache &synth_cache = SynthCache::shared();
-    auto isExact = [&](const SimTask &task) {
-        return e.units[task.unit].config->fidelity == Fidelity::Exact;
-    };
-    for (const SimTask &task : owned)
-        if (isExact(task))
-            synth_cache.retain(synthKey(task));
-    std::vector<uint8_t> released(owned.size(), 0);
-    auto release = [&](size_t i) {
-        if (!std::exchange(released[i], 1) && isExact(owned[i]))
-            synth_cache.release(synthKey(owned[i]));
-    };
 
     ResultStore *store = exec.cache ? &ResultStore::shared() : nullptr;
     const std::string cache_dir =
         store ? ResultStore::resolveDir(exec.cache_dir) : "";
 
-    // Run pass: one stateless task per owned layer.  Each op cell
-    // consults the result store independently — a layer whose Forward
-    // cell is warm (say, from a training sweep feeding this inference
-    // one) synthesizes and simulates only the cells that missed, and a
-    // fully warm layer never materialises its tensors at all.
+    // Each op cell consults the result store independently — a layer
+    // whose Forward cell is warm (say, from a training sweep feeding
+    // this inference one) synthesizes and simulates only the cells
+    // that missed, and a fully warm group never materialises its
+    // tensors at all.
+    SynthCache &synth_cache = SynthCache::shared();
     std::atomic<size_t> cache_hits{0};
     std::atomic<size_t> simulated{0};
     std::atomic<size_t> estimated{0};
     std::mutex hook_mu;
-    size_t done_tasks = 0; ///< guarded by hook_mu
-    auto runTask = [&](size_t i) {
-        const SimTask &task = owned[i];
-        const SweepUnit &unit = e.units[task.unit];
-        const bool exact = isExact(task);
-        // Cancellation drains: tasks already simulating finish
-        // normally (no torn cells), tasks not yet started are
-        // skipped and their slots stay absent — the partial sweep
-        // still serializes and merges like any shard.
-        if (hooks.cancel &&
-            hooks.cancel->load(std::memory_order_relaxed)) {
-            release(i);
-            return;
-        }
-        std::span<const TrainOp> ops =
-            phaseOps(unit.config->phase);
-        const uint32_t want = own_mask[task.slot];
-        LayerResult &out = sweep.layer_results[task.slot];
-        out.cells.resize(ops.size());
-        uint32_t missing = 0;
-        size_t hits = 0;
-        for (size_t j = 0; j < ops.size(); ++j) {
-            if (!(want & (1u << j)))
-                continue;
-            if (store &&
-                store->lookup(e.cells[task.first_cell + j].key,
-                              &out.cells[j], cache_dir))
-                ++hits;
-            else
-                missing |= 1u << j;
-        }
-        if (missing) {
-            if (exact)
-                simulateTaskOps(grid.spec, unit, task,
-                                synthKey(task), ops, missing, &out);
-            else
-                estimateTaskOps(grid.spec, unit, task, ops, missing,
-                                &out);
-            std::atomic<size_t> &produced =
-                exact ? simulated : estimated;
+    size_t done_slots = 0; ///< guarded by hook_mu
+    auto runGroup = [&](size_t g) {
+        // The group's tensors, synthesized on its first exact miss.
+        std::shared_ptr<const SynthTensors> tensors;
+        for (size_t s : groups[g].slots) {
+            // Cancellation drains: a slot already simulating finishes
+            // normally (no torn cells), slots not yet started are
+            // skipped and stay absent — the partial sweep still
+            // serializes and merges like any shard.
+            if (hooks.cancel &&
+                hooks.cancel->load(std::memory_order_relaxed))
+                return;
+            const LayerSlot &slot = e.slots[s];
+            const SweepUnit &unit = e.units[slot.unit];
+            const bool exact =
+                unit.config->fidelity == Fidelity::Exact;
+            std::span<const TrainOp> ops = phaseOps(unit.config->phase);
+            const GridCellInfo *slot_cells = &e.cells[slot.first_cell];
+            const uint32_t want = own_mask[s];
+            LayerResult &out = sweep.layer_results[s];
+            out.cells.resize(ops.size());
+            uint32_t missing = 0;
+            size_t hits = 0;
             for (size_t j = 0; j < ops.size(); ++j) {
-                if (!(missing & (1u << j)))
+                if (!(want & (1u << j)))
                     continue;
-                produced.fetch_add(1, std::memory_order_relaxed);
-                if (store)
-                    store->insert(e.cells[task.first_cell + j].key,
-                                  out.cells[j], cache_dir);
+                if (store && store->lookup(slot_cells[j].key,
+                                           &out.cells[j], cache_dir))
+                    ++hits;
+                else
+                    missing |= 1u << j;
+            }
+            if (missing) {
+                if (!exact) {
+                    estimateSlotOps(grid.spec, unit, slot.layer, ops,
+                                    missing, &out);
+                } else {
+                    if (tensors)
+                        synth_cache.countReuse();
+                    else
+                        tensors = synth_cache.synthesize([&] {
+                            return synthesizeLayer(grid.spec, unit,
+                                                   slot.layer);
+                        });
+                    simulateSlotOps(grid.spec, unit, *tensors, ops,
+                                    missing, &out);
+                }
+                std::atomic<size_t> &produced =
+                    exact ? simulated : estimated;
+                for (size_t j = 0; j < ops.size(); ++j) {
+                    if (!(missing & (1u << j)))
+                        continue;
+                    produced.fetch_add(1, std::memory_order_relaxed);
+                    if (store)
+                        store->insert(slot_cells[j].key, out.cells[j],
+                                      cache_dir);
+                }
+            }
+            cache_hits.fetch_add(hits, std::memory_order_relaxed);
+            sweep.present[s] = (uint8_t)want;
+            if (hooks.progress) {
+                // Serialized here so the callback needs no locking;
+                // done_slots counts *processed* slots (skipped-by-
+                // cancel slots never report).
+                std::lock_guard<std::mutex> lock(hook_mu);
+                hooks.progress({.done_tasks = ++done_slots,
+                                .total_tasks = owned_slots,
+                                .cache_hits = cache_hits.load(),
+                                .simulated = simulated.load(),
+                                .estimated = estimated.load()});
             }
         }
-        release(i);
-        cache_hits.fetch_add(hits, std::memory_order_relaxed);
-        sweep.present[task.slot] = (uint8_t)want;
-        if (hooks.progress) {
-            // Serialized here so the callback needs no locking;
-            // done_tasks counts *processed* tasks (skipped-by-
-            // cancel tasks never report).
-            std::lock_guard<std::mutex> g(hook_mu);
-            SweepProgress p;
-            p.done_tasks = ++done_tasks;
-            p.total_tasks = owned.size();
-            p.cache_hits =
-                cache_hits.load(std::memory_order_relaxed);
-            p.simulated =
-                simulated.load(std::memory_order_relaxed);
-            p.estimated =
-                estimated.load(std::memory_order_relaxed);
-            hooks.progress(p);
-        }
     };
-    try {
-        parallelFor(owned.size(), runTask, exec.threads);
-    } catch (...) {
-        // A body threw: the thrower and every task left unclaimed
-        // still hold their uses.
-        for (size_t i = 0; i < owned.size(); ++i)
-            release(i);
-        throw;
-    }
+    parallelFor(groups.size(), runGroup, exec.threads);
     // One pack per sweep, written whether the claim loop finished or
     // was cancelled: a drained sweep keeps every cell it simulated.
     if (store)

@@ -13,18 +13,21 @@
  * Inference = forward only), and aggregates cycles, potentials and
  * energy.
  *
- * Execution is task-based: every layer becomes one stateless
- * simulation task (synthesize -> lower -> simulate the phase's op
- * set -> reduce), each with its own Accelerator instance, claimed
- * by the sweep's own threads (one parallelFor per sweep, joined before
- * it returns).  Tasks are claimed costliest-first — ranked by
- * the closed-form OpEstimator's predicted simulation cost, which sees
- * the variant's geometry (sampling caps, gather/schedule volume, the
+ * Execution is task-based: the grid's layer slots (one per variant,
+ * model, progress point and layer) are grouped by the SynthKey their
+ * cells read, and each group is one stateless task that synthesizes
+ * the layer once and walks its slots in serial order (lower ->
+ * simulate the phase's op set, each slot on its own Accelerator
+ * instance), claimed by the sweep's own threads (one parallelFor per
+ * sweep, joined before it returns).  Groups are claimed
+ * costliest-first — ranked by the closed-form OpEstimator's predicted
+ * simulation cost plus the layer's synthesis volume, which sees the
+ * variants' geometry (sampling caps, gather/schedule volume, the
  * sparse front end) rather than raw dense MACs — so skewed layer costs
  * cannot leave the sweep tailing on one straggler.
  * Per-layer Rng streams are forked serially up front and results are
  * merged in serial (layer, op) order, so a run is bit-identical at any
- * thread count.  With power gating enabled, each task observes its
+ * thread count.  With power gating enabled, each slot observes its
  * layer's sparsity stats and freezes the gating table before any op
  * simulates (see PowerGateController) — gating decisions are per-layer
  * pure functions, so no cross-layer mutable state remains.
@@ -48,16 +51,16 @@
  * from the cache a training sweep populated.  On top of that purity
  * sit two features:
  *
- *  - Memoisation: the task claim loop consults a ResultStore before
+ *  - Memoisation: every slot consults a ResultStore before
  *    simulating, so repeated sweeps sharing cells (fig13 vs fig15 run
  *    the identical grid; a widened axis re-simulates only its new
  *    values) skip re-simulation entirely, in-process and — with a
  *    cache dir — across processes.  Synthesis is content addressed
  *    the same way one level down (core/synth_cache.hh): a SynthKey
  *    covers only the synthesis-affecting inputs, so within one sweep
- *    the N variants of a geometry axis synthesize each (model,
- *    progress, layer) cell once and share the tensors until the
- *    cell's last reader is done.
+ *    the N variants of a geometry axis are one task, which
+ *    synthesizes each (model, progress, layer) cell once and frees
+ *    the tensors when it returns.
  *  - Sharding: every run simulates a list of op cells of the grid
  *    planSweep() enumerates.  runSweepCells() takes the list from an
  *    external planner; runSweep()/runMany() derive it from a
@@ -202,7 +205,7 @@ struct RunConfig
     int threads = 0;
 
     /**
-     * Consult the process-wide ResultStore before simulating a task
+     * Consult the process-wide ResultStore before simulating a cell
      * and memoise what was simulated.  Cached results are bit-identical
      * to fresh simulations (the TaskKey covers every input), so this
      * only ever changes wall-clock, never output.
@@ -330,13 +333,13 @@ struct Shard
 
 /**
  * Live progress of one sweep run, reported through RunHooks::progress
- * after each completed layer task: how many of the tasks this run
+ * after each completed layer slot: how many of the slots this run
  * owns have finished, plus the running cache/simulation counters.
  */
 struct SweepProgress
 {
-    size_t done_tasks = 0;
-    size_t total_tasks = 0;
+    size_t done_tasks = 0;  ///< owned layer slots finished so far
+    size_t total_tasks = 0; ///< layer slots this run owns
     size_t cache_hits = 0;
     size_t simulated = 0;
     size_t estimated = 0;
@@ -349,14 +352,14 @@ struct SweepProgress
  */
 struct RunHooks
 {
-    /** Called after every completed layer task.  Invocations are
+    /** Called after every completed layer slot.  Invocations are
      * serialized internally, so the callback needs no locking of its
      * own; it runs on simulation threads and must stay cheap. */
     std::function<void(const SweepProgress &)> progress;
 
     /**
-     * When set, checked before each layer task starts: once true, the
-     * remaining tasks are skipped and the run returns a partial sweep
+     * When set, checked before each layer slot starts: once true, the
+     * remaining slots are skipped and the run returns a partial sweep
      * whose finished cells are intact and serializable — the
      * graceful-shutdown path of the sweep service's workers.  Cells
      * already simulating drain normally (a cancelled run never holds
@@ -374,7 +377,7 @@ struct RunHooks
  */
 struct GridCellInfo
 {
-    /** Layer-task grid slot the cell belongs to (the Shard unit). */
+    /** Layer slot the cell belongs to (the Shard unit). */
     size_t slot = 0;
 
     /** Which op cell within the slot, in phaseOps() order. */
@@ -397,8 +400,8 @@ struct GridCellInfo
     double est_cost = 0.0;
 
     /** Synthesis volume charged to this cell — the first cell of the
-     * first slot of each synth_key, matching the claim-order cost
-     * model; 0 everywhere else. */
+     * first exact slot of each synth_key, which the claim loop's group
+     * cost sums once per synthesized layer; 0 everywhere else. */
     double synth_cost = 0.0;
 };
 
@@ -538,8 +541,8 @@ struct SweepSpec
      * anything else (descriptions, layer names, sibling layers), or
      * equal keys could describe different tensors.  Of its RunConfig
      * argument a hook may read only the seed and the batch override:
-     * the SynthCache (see core/synth_cache.hh) shares one synthesis
-     * across a sweep's geometry variants, so a hook that read
+     * one task serves every slot of a SynthKey (see
+     * core/synth_cache.hh) from a single call, so a hook that read
      * accelerator geometry, the memory model, the fidelity tier or the
      * phase would hand N variants tensors only one of them asked for.
      */

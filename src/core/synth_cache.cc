@@ -57,114 +57,48 @@ SynthCache::shared()
     return cache;
 }
 
-std::shared_ptr<SynthCache::Slot> &
-SynthCache::slotLocked(const SynthKey &key)
-{
-    auto it = map_.find(key.value);
-    TD_ASSERT(it != map_.end(),
-              "synthesis key %016llx has no live slot: every reader "
-              "retains it before acquiring or releasing",
-              (unsigned long long)key.value);
-    return it->second;
-}
-
-void
-SynthCache::retain(const SynthKey &key)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<Slot> &slot = map_[key.value];
-    if (!slot)
-        slot = std::make_shared<Slot>();
-    ++slot->uses;
-}
-
 std::shared_ptr<const SynthTensors>
-SynthCache::acquire(const SynthKey &key, const SynthFn &synthesize)
+SynthCache::synthesize(const SynthFn &synthesize)
 {
-    std::shared_ptr<Slot> slot;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        slot = slotLocked(key);
-    }
-
-    // First acquirer synthesizes under the key's own latch; everyone
-    // else (including concurrent acquirers of this very key) waits
-    // here without touching the global lock.  call_once orders the
-    // value write before any waiter returns.
-    bool synthesized = false;
-    std::call_once(slot->once, [&] {
-        auto entry = std::make_shared<SynthTensors>();
-        entry->tensors = synthesize();
-        entry->act_sparsity = entry->tensors.acts.sparsity();
-        entry->weight_sparsity = entry->tensors.weights.sparsity();
-        entry->grad_sparsity = entry->tensors.grads.sparsity();
-        entry->bytes = tensorsBytes(entry->tensors);
-        slot->value = std::move(entry);
-        synthesized = true;
-    });
-
-    std::shared_ptr<const SynthTensors> value = slot->value;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (synthesized) {
-        // The acquirer still holds its use, so the slot is live.
-        ++counters_.keys;
-        slot->bytes = value->bytes;
-        resident_ += slot->bytes;
-    } else {
-        ++counters_.reuses;
-    }
-    return value;
+    auto entry = std::make_unique<SynthTensors>();
+    entry->tensors = synthesize();
+    entry->act_sparsity = entry->tensors.acts.sparsity();
+    entry->weight_sparsity = entry->tensors.weights.sparsity();
+    entry->grad_sparsity = entry->tensors.grads.sparsity();
+    entry->bytes = tensorsBytes(entry->tensors);
+    keys_.fetch_add(1, std::memory_order_relaxed);
+    resident_.fetch_add(entry->bytes, std::memory_order_relaxed);
+    return std::shared_ptr<const SynthTensors>(
+        entry.release(), [this](const SynthTensors *t) {
+            resident_.fetch_sub(t->bytes, std::memory_order_relaxed);
+            delete t;
+        });
 }
 
 void
-SynthCache::release(const SynthKey &key)
+SynthCache::countReuse()
 {
-    // Declared before the lock so the tensors are freed after it
-    // drops: unmapping them must not stall other readers.
-    std::shared_ptr<Slot> last;
-    std::lock_guard<std::mutex> lock(mu_);
-    std::shared_ptr<Slot> &slot = slotLocked(key);
-    if (--slot->uses > 0)
-        return;
-    resident_ -= slot->bytes;
-    last = std::move(slot);
-    map_.erase(key.value);
+    reuses_.fetch_add(1, std::memory_order_relaxed);
 }
 
 uint64_t
 SynthCache::residentBytes() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return resident_;
-}
-
-size_t
-SynthCache::entryCount() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
+    return resident_.load(std::memory_order_relaxed);
 }
 
 SynthCounters
 SynthCache::counters() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    return counters_;
+    return {keys_.load(std::memory_order_relaxed),
+            reuses_.load(std::memory_order_relaxed)};
 }
 
 void
 SynthCache::resetCounters()
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    counters_ = SynthCounters{};
-}
-
-void
-SynthCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    resident_ = 0;
+    keys_.store(0, std::memory_order_relaxed);
+    reuses_.store(0, std::memory_order_relaxed);
 }
 
 } // namespace tensordash

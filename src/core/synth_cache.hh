@@ -3,7 +3,8 @@
 
 /**
  * @file
- * Content-addressed cache of synthesized layer tensors.
+ * Content-addressed identity and accounting of synthesized layer
+ * tensors.
  *
  * Tensor synthesis (clustered Beta maps, magnitude/clustered pruning)
  * is the dominant non-simulation cost of a cold sweep, and it is a
@@ -13,32 +14,27 @@
  * the synthesize-hook contract.  Accelerator geometry, the memory
  * model, the fidelity tier and the workload phase cannot change a
  * synthesized tensor, so a design-space sweep with N geometry variants
- * re-synthesizes every (model, progress, layer) cell N times for
- * nothing.  The SynthCache content-addresses synthesis the same way
- * the ResultStore content-addresses results: the first task of a key
- * synthesizes once, every sibling variant reuses the ready tensors.
+ * would re-synthesize every (model, progress, layer) cell N times for
+ * nothing.  A SynthKey content-addresses synthesis the same way a
+ * TaskKey content-addresses results.
  *
- * Lifetime: sharing is per sweep.  Before its claim loop starts a
- * sweep retains one use of a key per exact task that may read it;
- * every such task releases its use once it is done (simulated, served
- * from the result cache, or skipped by cancellation), and the last
- * release frees the tensors.  A returned sweep therefore holds
- * nothing, and separate sweeps synthesize their own tensors.
+ * Sharing is by construction, not by lookup: the runner groups a
+ * sweep's layer slots by SynthKey and runs each group as one task,
+ * which synthesizes on its first exact miss and serves every later
+ * slot of the group (geometry variants, both workload phases) from
+ * the same tensors.  The tensors live exactly as long as that task,
+ * so a returned, cancelled or thrown sweep holds nothing, and separate
+ * sweeps synthesize their own tensors.
  *
- * Concurrency: a per-key once-latch serialises the *first* synthesis
- * of each key (waiters block on that key alone, never on the global
- * map lock, so unrelated synthesis proceeds in parallel).  Entries are
- * immutable once published and handed out as shared_ptr-to-const, so
- * readers on any thread share one tensor allocation safely.  The same
- * forked per-layer Rng reproduces the same tensors, so sharing only
- * ever changes wall-clock, never output.
+ * SynthCache is the process-wide account of that synthesis: the
+ * counters and resident bytes benches and the repo benchmark read.
+ * It stores no tensors.
  */
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "models/model_zoo.hh"
 
@@ -86,10 +82,10 @@ struct SynthKey
 };
 
 /**
- * One ready cache entry: the synthesized tensors plus their three
- * measured sparsities, so power-gating observation and write-back
- * sparsity estimation never rescan a cached tensor.  Immutable after
- * publication.
+ * One synthesized layer: the tensors plus their three measured
+ * sparsities, so power-gating observation and write-back sparsity
+ * estimation never rescan a shared tensor.  Immutable after
+ * synthesis.
  */
 struct SynthTensors
 {
@@ -103,61 +99,45 @@ struct SynthTensors
 };
 
 /**
- * Effectiveness counters of one SynthCache: how many distinct keys
- * were synthesized and how many acquisitions were served from a ready
- * entry.  A cold N-variant geometry sweep shows
- * reuses == (N - 1) * keys — one synthesis per unique key.
+ * Effectiveness counters of one SynthCache.  A cold N-variant
+ * geometry sweep shows reuses == (N - 1) * keys — one synthesis per
+ * unique key, served to every variant's slot.
  */
 struct SynthCounters
 {
-    uint64_t keys = 0;   ///< synthesize executions (unique-key misses)
-    uint64_t reuses = 0; ///< acquisitions served without synthesizing
+    uint64_t keys = 0;   ///< synthesize calls
+    uint64_t reuses = 0; ///< further slots served by a task's one synthesis
 };
 
 /**
- * Process-wide store of synthesized layer tensors, each kept from its
- * first retain until its last reader releases it.
+ * Process-wide accounting of synthesized layers: every synthesis goes
+ * through synthesize(), every slot served by an earlier synthesis of
+ * its task is counted by countReuse(), and the bytes of tensors still
+ * held are resident until their holder drops them.
  */
 class SynthCache
 {
   public:
-    SynthCache() = default;
-
-    SynthCache(const SynthCache &) = delete;
-    SynthCache &operator=(const SynthCache &) = delete;
-
-    /** The process-wide cache every exact run uses. */
+    /** The process-wide instance every exact run accounts to. */
     static SynthCache &shared();
 
-    /** Produces one layer's tensors (called once per live slot). */
+    /** Produces one layer's tensors. */
     using SynthFn = std::function<LayerTensors()>;
 
-    /** Register one future reader of @p key, creating its slot if no
-     * reader holds one. */
-    void retain(const SynthKey &key);
-
     /**
-     * Fetch the entry for retained @p key, synthesizing it via
-     * @p synthesize on first acquisition.  Concurrent acquirers of one
-     * key block on the key's own latch until the first finishes (the
-     * global lock is never held across synthesis); the returned entry
-     * is immutable and stays valid while the caller holds the pointer,
-     * even after the slot is released.
+     * Synthesize one layer via @p synthesize and measure its
+     * sparsities.  Counts one key; the tensor bytes stay resident
+     * until the last copy of the returned pointer is dropped, so this
+     * cache must outlive it.
      */
     std::shared_ptr<const SynthTensors>
-    acquire(const SynthKey &key, const SynthFn &synthesize);
+    synthesize(const SynthFn &synthesize);
 
-    /** Drop one reader of @p key, whether or not it acquired; the last
-     * release erases the slot and frees its tensors once no acquired
-     * pointer remains. */
-    void release(const SynthKey &key);
+    /** Count one more slot served by an earlier synthesis. */
+    void countReuse();
 
-    /** Bytes of synthesized entries whose slot is still live. */
+    /** Bytes of synthesized tensors still held: 0 between sweeps. */
     uint64_t residentBytes() const;
-
-    /** Live slots, retained or synthesized: 0 between sweeps unless a
-     * reader leaked its use. */
-    size_t entryCount() const;
 
     /** Snapshot of the lifetime synthesize/reuse counters. */
     SynthCounters counters() const;
@@ -165,34 +145,15 @@ class SynthCache
     /** Zero the counters (benches isolating one sweep's traffic). */
     void resetCounters();
 
-    /** Drop every slot (acquired pointers stay valid).  Only between
-     * sweeps: a reader that still holds a use fails its release. */
-    void clear();
+    /** No-op: tensors live with the task that synthesized them, so
+     * the cache holds nothing to drop.  Kept for callers that reset it
+     * between sweeps. */
+    void clear() {}
 
   private:
-    /** One key's slot: the once-latch plus the published entry.  The
-     * latch lives outside the global lock so first-synthesis of
-     * different keys runs in parallel. */
-    struct Slot
-    {
-        std::once_flag once;
-        /** Published by the latch winner before any waiter returns
-         * (call_once orders the write); never read under mu_. */
-        std::shared_ptr<const SynthTensors> value;
-        /** Accounted bytes, guarded by mu_ (0 until synthesized). */
-        uint64_t bytes = 0;
-        /** Readers that have not released yet, guarded by mu_. */
-        size_t uses = 0;
-    };
-
-    /** The live slot of @p key (mu_ held); panics when no reader
-     * retained it. */
-    std::shared_ptr<Slot> &slotLocked(const SynthKey &key);
-
-    mutable std::mutex mu_;
-    std::unordered_map<uint64_t, std::shared_ptr<Slot>> map_;
-    uint64_t resident_ = 0;
-    SynthCounters counters_;
+    std::atomic<uint64_t> keys_{0};
+    std::atomic<uint64_t> reuses_{0};
+    std::atomic<uint64_t> resident_{0};
 };
 
 } // namespace tensordash

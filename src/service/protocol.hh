@@ -99,8 +99,8 @@ struct ProgressMsg
 {
     uint64_t total_cells = 0;  ///< op cells in the job's grid
     uint64_t warm_cells = 0;   ///< served straight from the cache
-    uint64_t done_tasks = 0;   ///< layer tasks finished so far
-    uint64_t total_tasks = 0;  ///< layer tasks the job owns
+    uint64_t done_tasks = 0;   ///< layer slots finished so far
+    uint64_t total_tasks = 0;  ///< layer slots the job owns
     uint64_t simulated = 0;    ///< cells simulated so far
     uint32_t shards_total = 0; ///< worker shards planned
     uint32_t shards_done = 0;  ///< worker shards merged

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -320,8 +321,38 @@ struct OpGeom
     SideInfo b;
     uint64_t a_count = 0;
     uint64_t reduction = 0;
-    OpTraffic traffic; ///< expected, not measured, nonzero counts
     double gate_sparsity = 1.0; ///< expected sparsity of the gate tensor
+};
+
+/**
+ * Realised weight density of one cell, resolved on first read.
+ * Dense-model weights are random floats — effectively no zeros.
+ * Pruned weights land *below* their keep target (clamping and
+ * per-slice rounding in applyClusteredPruning); the simulator works
+ * from measured sparsity, so the estimator must too, at one Beta
+ * quadrature per clustered-pruned cell.  Only weight traffic and a
+ * side policy that may schedule weights read it, so pricing at the
+ * default sides never pays the quadrature.
+ */
+struct WeightDensity
+{
+    const CellSparsity &sp;
+    int kernel;
+    std::optional<double> value = std::nullopt;
+
+    double
+    operator()()
+    {
+        if (value)
+            return *value;
+        value = 1.0;
+        if (sp.weight > 0.0)
+            value = sp.clustered_weights
+                ? realizedPrunedDensity(1.0 - sp.weight, sp.cluster_strength,
+                                        (uint64_t)kernel * kernel)
+                : 1.0 - sp.weight;
+        return *value;
+    }
 };
 
 uint64_t
@@ -329,6 +360,43 @@ expectedNonzeros(uint64_t total, double density)
 {
     double nz = (double)total * std::clamp(density, 0.0, 1.0);
     return (uint64_t)std::llround(nz);
+}
+
+/** Expected off-chip traffic of (layer, op): nonzero counts from the
+ * expected densities instead of measured tensors. */
+OpTraffic
+expectedTraffic(const LayerSpec &layer, int batch, TrainOp op,
+                const CellSparsity &sp, WeightDensity &dw)
+{
+    uint64_t acts = (uint64_t)batch * layer.in_c * layer.in_hw * layer.in_hw;
+    uint64_t weights = (uint64_t)layer.out_c * layer.in_c * layer.kernel *
+                       layer.kernel;
+    uint64_t grads =
+        (uint64_t)batch * layer.out_c * layer.outHw() * layer.outHw();
+    switch (op) {
+      case TrainOp::Forward:
+        return {.in0_nz = expectedNonzeros(acts, 1.0 - sp.act),
+                .in0_total = acts,
+                .in1_nz = expectedNonzeros(weights, dw()),
+                .in1_total = weights,
+                .out_total = grads};
+      case TrainOp::BackwardData:
+        return {.in0_nz = expectedNonzeros(grads, 1.0 - sp.grad),
+                .in0_total = grads,
+                .in1_nz = expectedNonzeros(weights, dw()),
+                .in1_total = weights,
+                .out_total = acts,
+                .transposed = weights};
+      case TrainOp::BackwardWeights:
+        return {.in0_nz = expectedNonzeros(grads, 1.0 - sp.grad),
+                .in0_total = grads,
+                .in1_nz = expectedNonzeros(acts, 1.0 - sp.act),
+                .in1_total = acts,
+                .out_total = weights,
+                .transposed = grads};
+    }
+    TD_PANIC("unknown training op %d", (int)op);
+    return {};
 }
 
 /**
@@ -339,7 +407,8 @@ expectedNonzeros(uint64_t total, double density)
  */
 OpGeom
 resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
-              int batch, TrainOp op, const CellSparsity &sp)
+              int batch, TrainOp op, const CellSparsity &sp,
+              WeightDensity &dw)
 {
     int N = batch;
     int C = layer.in_c;
@@ -352,36 +421,15 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
 
     double da = 1.0 - sp.act;
     double dg = 1.0 - sp.grad;
-    // Dense-model weights are random floats — effectively no zeros.
-    // Pruned weights land *below* their keep target (clamping and
-    // per-slice rounding in applyClusteredPruning); the simulator
-    // works from measured sparsity, so the estimator must too.
-    // Backward-weights reads no weights and skips the quadrature.
-    double dw = 1.0;
-    if (op != TrainOp::BackwardWeights && sp.weight > 0.0)
-        dw = sp.clustered_weights
-            ? realizedPrunedDensity(1.0 - sp.weight, sp.cluster_strength,
-                                    (uint64_t)K * K)
-            : 1.0 - sp.weight;
-    double sw = 1.0 - dw; ///< realised weight sparsity
     double k_map = mapConcentration(sp.cluster_strength);
     double k_filt = filterConcentration(sp.cluster_strength);
-
-    uint64_t acts_total = (uint64_t)N * C * H * H;
-    uint64_t weights_total = (uint64_t)F * C * K * K;
-    uint64_t grads_total = (uint64_t)N * F * OH * OH;
 
     OpGeom g;
     switch (op) {
       case TrainOp::Forward: {
         g.reduction = (uint64_t)C * K * K;
-        g.traffic = {.in0_nz = expectedNonzeros(acts_total, da),
-                     .in0_total = acts_total,
-                     .in1_nz = expectedNonzeros(weights_total, dw),
-                     .in1_total = weights_total,
-                     .out_total = grads_total};
         bool weights_side = config.fwd_side == FwdSide::Weights ||
-            (config.fwd_side == FwdSide::Auto && sw > sp.act);
+            (config.fwd_side == FwdSide::Auto && 1.0 - dw() > sp.act);
         uint64_t windows = (uint64_t)N * OH * OH;
         if (!weights_side) {
             DimStats win = windowValidStats(OH, H, K, stride, pad);
@@ -399,25 +447,19 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
             g.gate_sparsity = sp.act;
         } else {
             g.b.count = (uint64_t)F;
-            g.b.dens = dw;
+            g.b.dens = dw();
             if (sp.clustered_weights)
                 g.b.map_k = k_filt, g.b.map_avg = 1;
             g.a_count = windows;
-            g.gate_sparsity = sw;
+            g.gate_sparsity = 1.0 - dw();
         }
         break;
       }
       case TrainOp::BackwardData: {
         g.reduction = (uint64_t)F * K * K;
-        g.traffic = {.in0_nz = expectedNonzeros(grads_total, dg),
-                     .in0_total = grads_total,
-                     .in1_nz = expectedNonzeros(weights_total, dw),
-                     .in1_total = weights_total,
-                     .out_total = acts_total,
-                     .transposed = weights_total};
         bool weights_side = config.bwd_data_side == BwdDataSide::Weights ||
             (config.bwd_data_side == BwdDataSide::Auto &&
-             sw > sp.grad);
+             1.0 - dw() > sp.grad);
         uint64_t pixels = (uint64_t)N * H * H;
         if (!weights_side) {
             DimStats pix = bwdDataValidStats(H, OH, K, stride, pad);
@@ -433,22 +475,16 @@ resolveOpGeom(const AcceleratorConfig &config, const LayerSpec &layer,
             g.gate_sparsity = sp.grad;
         } else {
             g.b.count = (uint64_t)C;
-            g.b.dens = dw;
+            g.b.dens = dw();
             if (sp.clustered_weights)
                 g.b.map_k = k_filt, g.b.map_avg = 1;
             g.a_count = pixels;
-            g.gate_sparsity = sw;
+            g.gate_sparsity = 1.0 - dw();
         }
         break;
       }
       case TrainOp::BackwardWeights: {
         g.reduction = (uint64_t)N * OH * OH;
-        g.traffic = {.in0_nz = expectedNonzeros(grads_total, dg),
-                     .in0_total = grads_total,
-                     .in1_nz = expectedNonzeros(acts_total, da),
-                     .in1_total = acts_total,
-                     .out_total = weights_total,
-                     .transposed = grads_total};
         bool grads_side = config.wg_side == WgSide::Gradients ||
             (config.wg_side == WgSide::Auto && sp.grad >= sp.act);
         if (grads_side) {
@@ -629,7 +665,10 @@ OpEstimator::estimateOp(const LayerSpec &layer, int batch, TrainOp op,
                         double out_sparsity) const
 {
     TD_ASSERT(batch >= 1, "need a positive batch");
-    OpGeom g = resolveOpGeom(config_, layer, batch, op, sparsity);
+    WeightDensity dw{sparsity, layer.kernel};
+    OpGeom g = resolveOpGeom(config_, layer, batch, op, sparsity, dw);
+    const OpTraffic traffic =
+        expectedTraffic(layer, batch, op, sparsity, dw);
     JobGrid jg = resolveJobGrid(config_, g);
     const TileConfig &tile = config_.tile;
 
@@ -664,12 +703,12 @@ OpEstimator::estimateOp(const LayerSpec &layer, int batch, TrainOp op,
     r.activity.spad_row_writes = r.activity.spad_row_reads;
     r.activity.sram_block_reads = r.activity.spad_row_reads;
     r.activity.sram_block_writes =
-        (double)g.traffic.out_total / (double)tile.lanes;
+        (double)traffic.out_total / (double)tile.lanes;
     r.activity.cycles = r.td_cycles;
 
     // Off-chip traffic and energy: the simulator's own charge, fed
     // with expected instead of measured nonzero counts.
-    chargeOffChip(config_, g.traffic, out_sparsity, r);
+    chargeOffChip(config_, traffic, out_sparsity, r);
     est.energy_base = opEnergy(energy_model_, r, false);
     est.energy_td = opEnergy(energy_model_, r, true);
     return est;
@@ -680,7 +719,8 @@ OpEstimator::estimateSimCost(const AcceleratorConfig &config,
                              const LayerSpec &layer, int batch,
                              TrainOp op, const CellSparsity &sparsity)
 {
-    OpGeom g = resolveOpGeom(config, layer, batch, op, sparsity);
+    WeightDensity dw{sparsity, layer.kernel};
+    OpGeom g = resolveOpGeom(config, layer, batch, op, sparsity, dw);
     JobGrid jg = resolveJobGrid(config, g);
     const TileConfig &tile = config.tile;
 

@@ -103,10 +103,11 @@ class OpEstimator
      * — the claim-loop scheduling key.  Unlike dense MACs, this sees
      * the variant's geometry: the sampling cap, the per-job
      * gather/schedule volume and the sparse front end's expected
-     * cycle reduction.  ~0.3 µs for a dense cell, plus one Beta
-     * quadrature (64 nodes, 64² integrand evaluations) when the op
-     * reads clustered-pruned weights; deterministic, so claim order
-     * is reproducible everywhere.
+     * cycle reduction.  ~0.1–0.3 µs a cell, plus one Beta quadrature
+     * (64 nodes, 64² integrand evaluations) when a Weights or Auto
+     * fwd_side/bwd_data_side makes the op compare or schedule
+     * clustered-pruned weights; deterministic, so claim order is
+     * reproducible everywhere.
      */
     static double estimateSimCost(const AcceleratorConfig &config,
                                   const LayerSpec &layer, int batch,

@@ -4,19 +4,21 @@
  * exactly the synthesis-affecting inputs (and nothing else), a
  * multi-variant geometry sweep synthesizes each cell once, a shared
  * synthesis is bit-identical to each variant run alone at any thread
- * count and under both memory models, an entry lives from its first
- * retain to its last release so a returned or thrown sweep holds
- * nothing, and custom synthesize hooks key on their salt.
+ * count and under both memory models, a synthesized layer lives only
+ * as long as the task that serves its slots so a returned, cancelled
+ * or thrown sweep holds nothing, and custom synthesize hooks key on
+ * their salt.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "common/logging.hh"
 #include "core/tensordash.hh"
 
 namespace tensordash {
@@ -101,11 +103,10 @@ layerBytes(const LayerResult &r)
     return w.data();
 }
 
-/** Expect the process-wide cache to hold no slot and no bytes. */
+/** Expect no synthesized tensors to be held anywhere. */
 void
 expectNothingResident(const char *after)
 {
-    EXPECT_EQ(SynthCache::shared().entryCount(), 0u) << after;
     EXPECT_EQ(SynthCache::shared().residentBytes(), 0u) << after;
 }
 
@@ -252,9 +253,8 @@ TEST(SynthCacheTest, BitIdentityColdWarmDisabledAcrossThreads)
         spec.progress_points = {0.25, 0.75};
         spec.axes = {rowsAxis({2, 4})};
 
-        // Reference: each variant alone on one thread, where no key
-        // has a second reader, so every task synthesizes its own
-        // tensors.
+        // Reference: each variant alone on one thread, where every
+        // task serves one slot from tensors of its own.
         RunConfig ref_cfg = cfg;
         ref_cfg.threads = 1;
         std::vector<SweepResult> alone;
@@ -286,62 +286,56 @@ TEST(SynthCacheTest, BitIdentityColdWarmDisabledAcrossThreads)
     }
 }
 
-TEST(SynthCacheTest, RetainAcquireRelease)
+TEST(SynthCacheTest, SweepHoldsOneLayerPerRunningTask)
 {
+    // A synthesized layer is the direct synthesis, measured, and its
+    // bytes stay resident exactly as long as it is held.
     SynthCache cache;
-    ModelProfile model = tinyModel();
-    const LayerSpec &layer = model.layers[0];
-    const SynthKey key{0xabc001};
-    std::atomic<int> synth_calls{0};
-    auto synth = [&]() -> LayerTensors {
-        ++synth_calls;
-        Rng rng(1001);
-        return ModelZoo::synthesize(model, layer, 0.5, rng);
+    uint64_t layer_bytes = 0; ///< the largest layer's tensors
+    for (const ModelProfile &model : tinyModels()) {
+        for (const LayerSpec &layer : model.layers) {
+            auto synth = [&] {
+                Rng rng(1001);
+                return ModelZoo::synthesize(model, layer, 0.5, rng);
+            };
+            LayerTensors direct = synth();
+            std::shared_ptr<const SynthTensors> st =
+                cache.synthesize(synth);
+            EXPECT_EQ(st->tensors.acts.maxAbsDiff(direct.acts), 0.0f);
+            EXPECT_EQ(st->tensors.weights.maxAbsDiff(direct.weights),
+                      0.0f);
+            EXPECT_EQ(st->tensors.grads.maxAbsDiff(direct.grads), 0.0f);
+            EXPECT_EQ(st->act_sparsity, direct.acts.sparsity());
+            EXPECT_EQ(st->weight_sparsity, direct.weights.sparsity());
+            EXPECT_EQ(st->grad_sparsity, direct.grads.sparsity());
+            EXPECT_EQ(st->bytes,
+                      (direct.acts.size() + direct.weights.size() +
+                       direct.grads.size()) * sizeof(float));
+            EXPECT_EQ(cache.residentBytes(), st->bytes);
+            layer_bytes = std::max(layer_bytes, st->bytes);
+        }
+    }
+    EXPECT_EQ(cache.residentBytes(), 0u);
+    EXPECT_EQ(cache.counters().keys, 5u);
+    EXPECT_EQ(cache.counters().reuses, 0u);
+
+    // On one thread a rows-axis sweep runs one layer's task at a time:
+    // every progress report sees that layer's tensors and no other.
+    RunConfig c = specConfig(9800);
+    c.threads = 1;
+    SweepSpec spec;
+    spec.models = tinyModels();
+    spec.progress_points = {0.5};
+    spec.axes = {rowsAxis({2, 4, 8})};
+    uint64_t peak = 0;
+    RunHooks hooks;
+    hooks.progress = [&](const SweepProgress &) {
+        peak = std::max(peak, SynthCache::shared().residentBytes());
     };
-
-    // Two readers: one synthesis, one reuse of the same tensors.
-    cache.retain(key);
-    cache.retain(key);
-    EXPECT_EQ(cache.entryCount(), 1u);
-    EXPECT_EQ(cache.residentBytes(), 0u);
-    auto first = cache.acquire(key, synth);
-    auto second = cache.acquire(key, synth);
-    EXPECT_EQ(synth_calls.load(), 1);
-    EXPECT_EQ(first.get(), second.get());
-    EXPECT_EQ(cache.counters().keys, 1u);
-    EXPECT_EQ(cache.counters().reuses, 1u);
-    EXPECT_EQ(cache.residentBytes(), first->bytes);
-
-    Rng rng(1001);
-    LayerTensors direct = ModelZoo::synthesize(model, layer, 0.5, rng);
-    EXPECT_EQ(first->tensors.acts.maxAbsDiff(direct.acts), 0.0f);
-    EXPECT_EQ(first->tensors.weights.maxAbsDiff(direct.weights), 0.0f);
-    EXPECT_EQ(first->tensors.grads.maxAbsDiff(direct.grads), 0.0f);
-    EXPECT_EQ(first->act_sparsity, direct.acts.sparsity());
-    EXPECT_EQ(first->weight_sparsity, direct.weights.sparsity());
-    EXPECT_EQ(first->grad_sparsity, direct.grads.sparsity());
-
-    // The last release drops the entry; acquired pointers stay valid.
-    cache.release(key);
-    EXPECT_EQ(cache.entryCount(), 1u);
-    cache.release(key);
-    EXPECT_EQ(cache.entryCount(), 0u);
-    EXPECT_EQ(cache.residentBytes(), 0u);
-    EXPECT_EQ(first->tensors.acts.maxAbsDiff(direct.acts), 0.0f);
-
-    // A later reader synthesizes afresh.
-    cache.retain(key);
-    cache.acquire(key, synth);
-    cache.release(key);
-    EXPECT_EQ(synth_calls.load(), 2);
-    EXPECT_EQ(cache.entryCount(), 0u);
-
-    // A reader that never retained fails loudly instead of leaking or
-    // freeing another reader's slot.
-    setLogThrowMode(true);
-    EXPECT_THROW(cache.acquire(key, synth), SimError);
-    EXPECT_THROW(cache.release(key), SimError);
-    setLogThrowMode(false);
+    ModelRunner(c).runSweep(spec, {}, hooks);
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, layer_bytes);
+    expectNothingResident("one-thread rows sweep");
 }
 
 TEST(SynthCacheTest, SweepsLeaveNothingResident)
@@ -361,8 +355,8 @@ TEST(SynthCacheTest, SweepsLeaveNothingResident)
     expectNothingResident("cold two-axis sweep");
 
     // Widening an axis of a finished sweep with the memo on: the old
-    // variants hit on every cell and release without acquiring, the
-    // new one synthesizes its own tensors.
+    // variants hit on every cell, so each layer's task synthesizes
+    // once, for the new variant alone.
     RunConfig memo = specConfig(9650);
     memo.cache = true;
     SweepSpec narrow = spec;
@@ -377,8 +371,8 @@ TEST(SynthCacheTest, SweepsLeaveNothingResident)
     EXPECT_EQ(SynthCache::shared().counters().reuses, mid.reuses);
     expectNothingResident("widened sweep");
 
-    // A sweep cancelled from its progress hook: the skipped tasks
-    // release their uses too.
+    // A sweep cancelled from its progress hook: a task that stops
+    // between slots frees its tensors too.
     for (int threads : {1, 4}) {
         RunConfig c = specConfig(9700);
         c.threads = threads;
@@ -393,8 +387,8 @@ TEST(SynthCacheTest, SweepsLeaveNothingResident)
         expectNothingResident("cancelled sweep");
     }
 
-    // A sweep whose synthesize hook throws: the thrower and the tasks
-    // left unclaimed release their uses too.
+    // A sweep whose synthesize hook throws: the throwing task and
+    // every task still running free their tensors on the way out.
     for (int threads : {1, 4}) {
         RunConfig c = specConfig(9750);
         c.threads = threads;

@@ -203,9 +203,12 @@ TEST(WorkloadPhaseTest, PhaseAxisSweepsBothPhasesInOneGrid)
     EXPECT_EQ(sweep.variants[1], "phase=inference");
     EXPECT_EQ(sweep.variantPhase(0), WorkloadPhase::Training);
     EXPECT_EQ(sweep.variantPhase(1), WorkloadPhase::Inference);
-    // 5 layer slots x (3 training + 1 inference ops).
+    // 5 layer slots x (3 training + 1 inference ops).  Each layer's
+    // two slots run as one task, training first: its 3 cells simulate
+    // and the inference slot's Forward cell hits the one just stored.
     EXPECT_EQ(sweep.cellCount(), 20u);
-    EXPECT_EQ(sweep.cache_hits + sweep.simulated, sweep.cellCount());
+    EXPECT_EQ(sweep.simulated, 15u);
+    EXPECT_EQ(sweep.cache_hits, 5u);
 
     // Both variants' Forward aggregates are bit-identical: they are
     // reduced from the same cells.
