@@ -15,9 +15,9 @@
  *     runSweep() of the same spec (counters aside, which count work
  *     done, not results);
  *   - when the worker fleet is sized so the per-shard cost target
- *     falls below the grid's costliest layer task, the planner splits
- *     that giant below task grain (split_tasks >= 1) and the partial
- *     present masks still merge back to the identical sweep;
+ *     falls below the grid's costliest synthesis group, the planner
+ *     splits that giant into its op cells (split_tasks >= 1) and the
+ *     partial present masks still merge back to the identical sweep;
  *   - a re-plan over the now-warm cache packs zero shards — the
  *     repeat-query path that lets the daemon answer without spawning
  *     a single worker.
@@ -29,7 +29,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
+#include <numeric>
 #include <vector>
 
 #include "bench_util.hh"
@@ -106,19 +106,18 @@ main()
     const SweepSpec spec = fig13Spec();
     const std::vector<GridCellInfo> plan = runner.planSweep(spec);
 
-    // Per-layer-task totals drive the fleet sizing below.
-    std::map<size_t, double> slot_cost;
+    // The planner's pack units, the synthesis groups, drive the fleet
+    // sizing below.
+    std::vector<size_t> all(plan.size());
+    std::iota(all.begin(), all.end(), size_t{0});
     double total_cost = 0.0;
-    for (const GridCellInfo &c : plan) {
-        double cost = c.est_cost + c.synth_cost;
-        slot_cost[c.slot] += cost;
-        total_cost += cost;
+    double max_group = 0.0;
+    for (const CellGroup &g : groupCells(plan, all)) {
+        total_cost += g.cost;
+        max_group = std::max(max_group, g.cost);
     }
-    double max_slot = 0.0;
-    for (const auto &kv : slot_cost)
-        max_slot = std::max(max_slot, kv.second);
 
-    // Plan A: a small fleet.  Whole layers pack whole (no giant
+    // Plan A: a small fleet.  Whole groups pack whole (no giant
     // relative to the generous per-shard target).
     const size_t kFleet = 4;
     const ShardPlan plan_fleet =
@@ -126,16 +125,16 @@ main()
     printPlan("fig13", kFleet, plan.size(), plan_fleet);
 
     // Plan B: size the fleet so the per-shard target falls below the
-    // costliest layer task — the planner must split that giant below
-    // task grain to bound the shard makespan.
+    // costliest group — the planner must split that giant into its op
+    // cells to bound the shard makespan.
     const size_t split_shards = std::min<size_t>(
-        32, std::max<size_t>(2, (size_t)(total_cost / max_slot) + 1));
+        32, std::max<size_t>(2, (size_t)(total_cost / max_group) + 1));
     const ShardPlan plan_split =
         planJob(plan, cfg.cache_dir, split_shards);
     printPlan("fig13-giant", split_shards, plan.size(), plan_split);
 
     // Execute the split plan cold: partial per-slot masks from the
-    // below-task-grain shards must reunite into the full sweep.
+    // giant's split shards must reunite into the full sweep.
     SweepResult merged =
         replay("fig13-giant", runner, spec, plan_split);
     SweepResult direct = runner.runSweep(spec);

@@ -87,7 +87,9 @@ defaultRunConfig()
  * Figures built on one runSweep()/runMany() sweep additionally accept
  * the sharding CLI (see sweepFigure):
  *
- *   --shard i/N      simulate only shard i of the task grid
+ *   --shard i/N      simulate only shard i of the task grid: the
+ *                    layers (synthesis groups) ≡ i (mod N), each
+ *                    with every axis value of a config-axis figure
  *   --shard-out F    write the partial sweep to F (binary)
  *   --merge F        load a shard file (repeatable); merge all,
  *                    render the figure, and simulate nothing
@@ -394,8 +396,9 @@ reportCache(const SweepResult &sweep)
  *    from the merged sweep, simulate nothing.  Byte-identical CSV to
  *    an unsharded run (the merged grid re-reduces in serial order).
  *  - --shard i/N: simulate only shard i of the full (variant x model
- *    x progress x layer) grid — a config-axis figure shards across
- *    its axis points too — and serialize the partial sweep to
+ *    x progress x layer) grid — a config-axis figure shards by layer,
+ *    each shard carrying every axis value of its layers, so no layer
+ *    is synthesized twice — and serialize the partial sweep to
  *    --shard-out; no table is rendered.
  *  - neither: the plain runFigure() loop.
  *

@@ -6,7 +6,6 @@
 #include <limits>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.hh"
@@ -295,6 +294,7 @@ enumerateGrid(const Grid &grid)
     e.batch_models.reserve(overridden);
 
     const uint64_t salt = grid.spec.synthesis_salt;
+    std::unordered_map<uint64_t, size_t> group_index; // synth_key -> group
     for (size_t v = 0; v < grid.configs.size(); ++v) {
         const RunConfig &config = grid.configs[v];
         std::span<const TrainOp> ops = phaseOps(config.phase);
@@ -319,9 +319,13 @@ enumerateGrid(const Grid &grid)
                         SynthKey::forCell(config, models[m], l,
                                           progress, salt)
                             .value;
+                    const size_t group =
+                        group_index.try_emplace(skey, group_index.size())
+                            .first->second;
                     for (size_t j = 0; j < ops.size(); ++j) {
                         GridCellInfo c;
                         c.slot = slot;
+                        c.group = group;
                         c.op_index = (uint32_t)j;
                         c.cell = e.cells.size();
                         c.key = TaskKey::forOp(
@@ -338,15 +342,11 @@ enumerateGrid(const Grid &grid)
     return e;
 }
 
-/**
- * Fill every cell's est_cost and synth_cost.  Only the first exact
- * slot of each SynthKey pays synthesis: the task that runs the key's
- * slots synthesizes once for all of them.
- */
+/** Fill every cell's est_cost and synth_cost; groupCells() charges
+ * the synthesis once per group. */
 void
 priceGrid(GridEnumeration *e)
 {
-    std::unordered_set<uint64_t> charged_synth;
     for (const LayerSlot &slot : e->slots) {
         const SweepUnit &unit = e->units[slot.unit];
         const ModelProfile &model = *unit.model;
@@ -360,8 +360,8 @@ priceGrid(GridEnumeration *e)
         CellSparsity sp =
             effectiveCellSparsity(model, slot.layer, unit.progress);
         // Estimate-tier slots never synthesize.
-        if (!estimate && charged_synth.insert(cells[0].synth_key).second)
-            cells[0].synth_cost = synthesisCost(layer, model.batch);
+        const double synth =
+            estimate ? 0.0 : synthesisCost(layer, model.batch);
         for (size_t j = 0; j < ops.size(); ++j) {
             // An estimate cell costs one closed-form evaluation
             // whatever its layer, about as much as pricing its
@@ -370,6 +370,7 @@ priceGrid(GridEnumeration *e)
                 ? 1.0
                 : OpEstimator::estimateSimCost(accel_cfg, layer,
                                                model.batch, ops[j], sp);
+            cells[j].synth_cost = synth;
         }
     }
 }
@@ -456,10 +457,10 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
     sweep.layer_results.resize(nslots);
     sweep.present.assign(nslots, 0);
 
-    // Fold the owned op cells into per-slot masks (a shard owns whole
-    // slots; the sweep service's planner may scatter a giant layer's
-    // cells across runs); slots whose mask stays empty are not owned
-    // at all.
+    // Fold the owned op cells into per-slot masks (the sweep service's
+    // planner may scatter a giant layer's cells across runs), then
+    // list them back in serial order, each once, whatever order the
+    // caller passed.
     std::vector<uint8_t> own_mask(nslots, 0);
     for (size_t c : cells) {
         TD_ASSERT(c < e.cells.size(),
@@ -468,40 +469,24 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
         own_mask[e.cells[c].slot] |=
             (uint8_t)(1u << e.cells[c].op_index);
     }
+    std::vector<size_t> owned;
+    for (const GridCellInfo &c : e.cells)
+        if ((own_mask[c.slot] >> c.op_index) & 1u)
+            owned.push_back(c.cell);
+    const size_t owned_slots =
+        nslots - (size_t)std::count(own_mask.begin(), own_mask.end(), 0);
 
-    // One task per synthesized layer: the owned slots grouped by the
-    // SynthKey their cells read (a layer's geometry variants and both
-    // of its phases), in serial slot order within each group.  A
-    // task synthesizes at most once and frees the tensors when it
-    // returns, so a sweep holds one layer per running task.  Groups
-    // are claimed costliest-first so a huge layer picked up late
-    // cannot leave the sweep tailing on one thread; results land in
-    // pre-assigned slots and the reduce walks serial order, so
-    // neither the ownership split nor the claim order ever affects
-    // the output.
-    struct SynthGroup
-    {
-        std::vector<size_t> slots;
-        double cost = 0.0; ///< the slots' est_cost + synth_cost
-    };
-    std::vector<SynthGroup> groups;
-    std::unordered_map<uint64_t, size_t> group_of;
-    size_t owned_slots = 0;
-    for (const GridCellInfo &c : e.cells) {
-        if (!own_mask[c.slot])
-            continue;
-        auto [it, fresh] = group_of.try_emplace(c.synth_key, groups.size());
-        if (fresh)
-            groups.emplace_back();
-        SynthGroup &g = groups[it->second];
-        if (c.op_index == 0) {
-            g.slots.push_back(c.slot);
-            ++owned_slots;
-        }
-        g.cost += c.est_cost + c.synth_cost;
-    }
+    // One task per synthesized layer: the owned cells of one group (a
+    // layer's geometry variants and both of its phases).  A task
+    // synthesizes at most once and frees the tensors when it returns,
+    // so a sweep holds one layer per running task.  Groups are claimed
+    // costliest-first so a huge layer picked up late cannot leave the
+    // sweep tailing on one thread; results land in pre-assigned slots
+    // and the reduce walks serial order, so neither the ownership
+    // split nor the claim order ever affects the output.
+    std::vector<CellGroup> groups = groupCells(e.cells, owned);
     std::stable_sort(groups.begin(), groups.end(),
-                     [](const SynthGroup &a, const SynthGroup &b) {
+                     [](const CellGroup &a, const CellGroup &b) {
                          return a.cost > b.cost;
                      });
 
@@ -523,7 +508,13 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
     auto runGroup = [&](size_t g) {
         // The group's tensors, synthesized on its first exact miss.
         std::shared_ptr<const SynthTensors> tensors;
-        for (size_t s : groups[g].slots) {
+        size_t prev = nslots;
+        for (size_t c : groups[g].cells) {
+            // One visit per slot: a slot's owned cells are adjacent.
+            const size_t s = e.cells[c].slot;
+            if (s == prev)
+                continue;
+            prev = s;
             // Cancellation drains: a slot already simulating finishes
             // normally (no torn cells), slots not yet started are
             // skipped and stay absent — the partial sweep still
@@ -610,6 +601,32 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
 }
 
 } // namespace
+
+std::vector<CellGroup>
+groupCells(std::span<const GridCellInfo> plan,
+           std::span<const size_t> cells)
+{
+    constexpr size_t kNone = std::numeric_limits<size_t>::max();
+    std::vector<size_t> position; // group -> its index in out
+    std::vector<CellGroup> out;
+    for (size_t c : cells) {
+        const GridCellInfo &info = plan[c];
+        if (info.group >= position.size())
+            position.resize(info.group + 1, kNone);
+        if (position[info.group] == kNone) {
+            position[info.group] = out.size();
+            out.emplace_back();
+        }
+        CellGroup &g = out[position[info.group]];
+        g.cells.push_back(c);
+        if (info.synth_cost > g.synth_cost) {
+            g.cost += info.synth_cost - g.synth_cost;
+            g.synth_cost = info.synth_cost;
+        }
+        g.cost += info.est_cost;
+    }
+    return out;
+}
 
 TaskKey
 TaskKey::forOp(const RunConfig &config, const ModelProfile &model,
@@ -1139,7 +1156,7 @@ ModelRunner::runSweep(const SweepSpec &spec, Shard shard,
     GridEnumeration e = planGrid(grid);
     std::vector<size_t> cells;
     for (const GridCellInfo &c : e.cells)
-        if (shard.owns(c.slot))
+        if (shard.owns(c.group))
             cells.push_back(c.cell);
     return runGrid(config_, grid, e, cells, hooks);
 }

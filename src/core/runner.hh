@@ -65,12 +65,15 @@
  *    planSweep() enumerates.  runSweepCells() takes the list from an
  *    external planner; runSweep()/runMany() derive it from a
  *    Shard{index, count}, a filter that keeps the cells of every
- *    layer slot congruent to index mod count.  A partial SweepResult
- *    (described by its per-slot present masks alone) serializes to
- *    bytes, travels between processes/machines, and merge()
- *    reassembles the grid; because the final reduce always walks the
- *    same serial (layer, op) order over the same per-layer results, a
- *    merged run is bit-identical to a single-process one.
+ *    synthesis group (the cells that read one SynthKey) congruent to
+ *    index mod count.  The group is the one work unit from plan to
+ *    claim: a Shard owns it, the sweep service's planner packs it and
+ *    the claim loop runs it, all through groupCells().  A partial
+ *    SweepResult (described by its per-slot present masks alone)
+ *    serializes to bytes, travels between processes/machines, and
+ *    merge() reassembles the grid; because the final reduce always
+ *    walks the same serial (layer, op) order over the same per-layer
+ *    results, a merged run is bit-identical to a single-process one.
  */
 
 #include <array>
@@ -290,8 +293,8 @@ struct OpCellResult
 
 /**
  * One layer's op set under its variant's workload phase, in phaseOps()
- * order (the unit of sharding — a grid slot is a whole layer, whose
- * cells were looked up or simulated per op).
+ * order (one grid slot of a sweep file, whose cells were looked up or
+ * simulated per op).
  */
 struct LayerResult
 {
@@ -305,7 +308,9 @@ struct LayerResult
 /**
  * Deterministic partition of the (variant x model x progress x layer)
  * task grid, applied as a filter over planSweep()'s cells: shard i of
- * N owns every op cell whose layer slot is congruent to i mod N.  The
+ * N owns every op cell whose synthesis group g (GridCellInfo::group)
+ * is congruent to i mod N.  A config-axis sweep thus shards by layer,
+ * each shard synthesizing its layers once for every axis value.  The
  * default {0, 1} owns the whole grid.
  */
 struct Shard
@@ -313,7 +318,7 @@ struct Shard
     size_t index = 0;
     size_t count = 1;
 
-    bool owns(size_t slot) const { return count <= 1 || slot % count == index; }
+    bool owns(size_t g) const { return count <= 1 || g % count == index; }
 
     /**
      * Panic unless this is a well-formed partition (count >= 1 and
@@ -377,8 +382,12 @@ struct RunHooks
  */
 struct GridCellInfo
 {
-    /** Layer slot the cell belongs to (the Shard unit). */
+    /** Layer slot the cell belongs to (a SweepResult present mask). */
     size_t slot = 0;
+
+    /** Synthesis group: dense index of synth_key in first-appearance
+     * order, the unit a Shard owns and groupCells() collects. */
+    size_t group = 0;
 
     /** Which op cell within the slot, in phaseOps() order. */
     uint32_t op_index = 0;
@@ -399,11 +408,28 @@ struct GridCellInfo
      * an estimate-tier cell, which never simulates. */
     double est_cost = 0.0;
 
-    /** Synthesis volume charged to this cell — the first cell of the
-     * first exact slot of each synth_key, which the claim loop's group
-     * cost sums once per synthesized layer; 0 everywhere else. */
+    /** Synthesis volume of the cell's layer, carried by every exact
+     * cell (0 for an estimate cell, which never synthesizes);
+     * groupCells() charges it once per group. */
     double synth_cost = 0.0;
 };
+
+/** The cells of one synthesis group within a cell list, priced. */
+struct CellGroup
+{
+    std::vector<size_t> cells; ///< global cell indices, serial order
+    double synth_cost = 0.0;   ///< the largest of the cells' synth_cost
+    double cost = 0.0;         ///< the cells' est_cost + synth_cost
+};
+
+/**
+ * Group @p cells (global cell indices of @p plan, in serial order) by
+ * GridCellInfo::group, in first-appearance order: the units the claim
+ * loop runs and the sweep service's planner packs.  The one pricing
+ * rule: a group costs its cells' estimates plus one synthesis.
+ */
+std::vector<CellGroup> groupCells(std::span<const GridCellInfo> plan,
+                                  std::span<const size_t> cells);
 
 /**
  * One named configuration axis of a declarative sweep: a label, one
@@ -820,7 +846,7 @@ class ModelRunner
      *
      * @param spec  models, progress points and config axes
      * @param shard grid partition to simulate (default: the whole
-     *              grid): the planSweep() cells of every slot it
+     *              grid): the planSweep() cells of every group it
      *              owns().  A partial shard's sweep has no model-level
      *              results until merge()d with its siblings.
      * @param hooks optional progress callback and cancellation flag
@@ -835,8 +861,8 @@ class ModelRunner
     /**
      * Planning view of the task grid @p spec expands to under this
      * runner's config: every (variant x model x progress x layer x op)
-     * cell in serial order — its grid slot, TaskKey, SynthKey and
-     * closed-form cost estimates — computed without simulating
+     * cell in serial order — its grid slot and synthesis group,
+     * TaskKey, SynthKey and closed-form costs — without simulating
      * anything.  Entry i has cell == i, and hashing the plan's keys
      * reproduces sweepFingerprint(spec) exactly: the plan and the
      * execution describe one and the same grid.  This is what the

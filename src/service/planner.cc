@@ -1,39 +1,12 @@
 #include "service/planner.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "common/logging.hh"
 #include "core/result_store.hh"
 
 namespace tensordash {
 namespace service {
-
-namespace {
-
-/** One packable unit: either a whole layer task or, after a
- * below-task-grain split, a single op cell. */
-struct PackUnit
-{
-    std::vector<size_t> cells;
-    double cost = 0.0;
-    size_t slot = 0; ///< the layer task the cells came from
-};
-
-} // namespace
-
-std::vector<uint8_t>
-probeWarm(const std::vector<GridCellInfo> &plan,
-          const std::string &cache_dir)
-{
-    std::vector<uint8_t> warm(plan.size(), 0);
-    ResultStore &store = ResultStore::shared();
-    OpCellResult scratch;
-    for (size_t i = 0; i < plan.size(); ++i)
-        warm[i] = store.lookup(plan[i].key, &scratch, cache_dir);
-    return warm;
-}
 
 ShardPlan
 planJob(const std::vector<GridCellInfo> &plan,
@@ -47,80 +20,69 @@ planJob(const std::vector<GridCellInfo> &plan,
                   "plan entry %zu holds cell %zu: not a planSweep() "
                   "grid", i, plan[i].cell);
     ShardPlan out;
-    std::vector<uint8_t> warm = probeWarm(plan, cache_dir);
 
-    // Group the cold cells back into their layer tasks: the slot is
-    // the default packing unit (one synthesis per layer).  std::map
-    // keeps slot order deterministic.
-    std::map<size_t, PackUnit> tasks;
-    double total_cost = 0.0;
-    for (size_t i = 0; i < plan.size(); ++i) {
-        if (warm[i]) {
-            out.warm_cells.push_back(plan[i].cell);
-            continue;
-        }
-        PackUnit &unit = tasks[plan[i].slot];
-        unit.slot = plan[i].slot;
-        unit.cells.push_back(plan[i].cell);
-        double c = plan[i].est_cost + plan[i].synth_cost;
-        unit.cost += c;
-        total_cost += c;
-    }
-    if (tasks.empty())
+    // Probe every cell.  The lookups also warm the process memo, so
+    // the daemon's in-process pass over the warm cells hits memory,
+    // not disk.
+    ResultStore &store = ResultStore::shared();
+    OpCellResult scratch;
+    std::vector<size_t> cold;
+    for (const GridCellInfo &c : plan)
+        (store.lookup(c.key, &scratch, cache_dir) ? out.warm_cells : cold)
+            .push_back(c.cell);
+    if (cold.empty())
         return out; // fully warm: no workers, no shards
 
-    // Per-shard cost target.  A layer task costlier than the target
-    // is a giant: bound the makespan by splitting it below task grain
-    // (each op cell becomes its own unit; a worker that receives a
-    // lone cell re-synthesizes the layer, which the split's cost
-    // accounting accepts as the price of balance).
+    // Pack the cold cells' synthesis groups, the unit the workers'
+    // claim loops run, so one worker synthesizes each layer.  A group
+    // costlier than the per-shard target is a giant: bound the
+    // makespan by splitting it into one-cell groups, each priced with
+    // the synthesis its worker repeats.
+    std::vector<CellGroup> groups = groupCells(plan, cold);
+    double total_cost = 0.0;
+    for (const CellGroup &g : groups)
+        total_cost += g.cost;
     out.target_cost = total_cost / (double)max_shards;
-    std::vector<PackUnit> units;
-    std::set<size_t> split_slots;
-    for (auto &kv : tasks) {
-        PackUnit &unit = kv.second;
-        if (max_shards > 1 && unit.cells.size() > 1 &&
-            unit.cost > out.target_cost) {
-            split_slots.insert(unit.slot);
-            for (size_t cell : unit.cells) {
-                PackUnit split;
-                split.slot = unit.slot;
-                split.cells.push_back(cell);
-                split.cost = plan[cell].est_cost +
-                             plan[cell].synth_cost;
-                units.push_back(std::move(split));
-            }
-        } else {
-            units.push_back(std::move(unit));
-        }
+    std::vector<CellGroup> units;
+    for (CellGroup &g : groups) {
+        if (g.cost <= out.target_cost)
+            units.push_back(std::move(g));
+        else
+            for (size_t cell : g.cells)
+                units.push_back(
+                    std::move(groupCells(plan, {&cell, 1}).front()));
     }
 
     // Longest-processing-time packing: costliest unit first, always
     // into the least-loaded shard.  stable_sort + index tie-break
     // keeps the plan deterministic.
     std::stable_sort(units.begin(), units.end(),
-                     [](const PackUnit &a, const PackUnit &b) {
+                     [](const CellGroup &a, const CellGroup &b) {
                          return a.cost > b.cost;
                      });
-    size_t nshards = std::min(max_shards, units.size());
+    const size_t nshards = std::min(max_shards, units.size());
     out.shards.resize(nshards);
-    // Which shard each split slot's cells landed in (split_tasks
-    // counts only slots that truly ended up on >1 shard).
-    std::map<size_t, std::set<size_t>> slot_shards;
-    for (PackUnit &unit : units) {
+    // The shard each group landed on: nshards before its first cell,
+    // nshards + 1 once counted as split.  A grid has no more groups
+    // than slots.
+    std::vector<size_t> home(plan.back().slot + 1, nshards);
+    for (const CellGroup &unit : units) {
         size_t best = 0;
         for (size_t s = 1; s < nshards; ++s)
             if (out.shards[s].cost < out.shards[best].cost)
                 best = s;
-        if (split_slots.count(unit.slot))
-            slot_shards[unit.slot].insert(best);
+        size_t &h = home[plan[unit.cells.front()].group];
+        if (h == nshards) {
+            h = best;
+        } else if (h < nshards && h != best) {
+            h = nshards + 1;
+            ++out.split_tasks;
+        }
         out.shards[best].cost += unit.cost;
         out.shards[best].cells.insert(out.shards[best].cells.end(),
                                       unit.cells.begin(),
                                       unit.cells.end());
     }
-    for (const auto &kv : slot_shards)
-        out.split_tasks += kv.second.size() > 1;
 
     // Sorted cell lists make shard contents reproducible and the
     // worker's ownership masks cheap to build.

@@ -11,17 +11,17 @@
  * at most max_shards worker shards, balanced by the closed-form cost
  * estimates the claim loop already trusts (LPT bin packing).
  *
- * Whole layers stay together by default: a layer task shares one
- * synthesis, so scattering its op cells across workers would
- * synthesize the tensors once per worker.  But a *giant* layer whose
- * estimated cost exceeds the per-shard target is split below task
- * grain — its op cells placed independently — trading duplicated
- * synthesis for a bounded shard makespan.  This is the system's only
- * giant-layer splitter; inside one process, costliest-first claiming
- * is what keeps a skewed layer from tailing the sweep.
+ * The pack unit is the synthesis group of groupCells(), the unit each
+ * worker's claim loop runs: every cold cell that reads one SynthKey
+ * (a layer's geometry variants and both of its phases) lands on one
+ * worker, which synthesizes the layer once.  But a *giant* group whose
+ * estimated cost exceeds the per-shard target is split into its op
+ * cells, placed independently, trading duplicated synthesis for a
+ * bounded shard makespan.  This is the system's only giant-layer
+ * splitter; inside one process, costliest-first claiming is what
+ * keeps a skewed layer from tailing the sweep.
  */
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,7 +34,7 @@ namespace service {
 struct ShardAssignment
 {
     std::vector<size_t> cells;
-    double cost = 0.0; ///< estimated cost (sim + charged synthesis)
+    double cost = 0.0; ///< estimated simulation + one synthesis per group
 };
 
 /** Output of planJob(). */
@@ -47,8 +47,8 @@ struct ShardPlan
      * a repeat query never spawns a worker). */
     std::vector<ShardAssignment> shards;
 
-    /** Layer tasks whose op cells were split across >1 shard (the
-     * below-task-grain splits). */
+    /** Synthesis groups whose op cells landed on more than one shard
+     * (the giant splits). */
     size_t split_tasks = 0;
 
     /** Per-shard cost target the splits were sized against. */
@@ -64,16 +64,8 @@ struct ShardPlan
 };
 
 /**
- * Probe the result cache for every cell of @p plan: out[i] != 0 means
- * cell i's key is already stored (memo or @p cache_dir).  Probing
- * warms the process memo as a side effect, which is exactly what the
- * daemon wants — its in-process warm pass then hits memory, not disk.
- */
-std::vector<uint8_t> probeWarm(const std::vector<GridCellInfo> &plan,
-                               const std::string &cache_dir);
-
-/**
- * Plan one job: probe, then pack cold cells into at most
+ * Plan one job: probe the result cache (memo or @p cache_dir) for
+ * every cell of @p plan, then pack the cold cells into at most
  * @p max_shards shards (>= 1).  Deterministic — same plan and cache
  * state, same shards.
  */

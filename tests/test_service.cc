@@ -12,6 +12,7 @@
 #include <atomic>
 #include <csignal>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
@@ -392,6 +393,21 @@ TEST(PlanSweep, EstimateCellsCarryUnitCost)
         EXPECT_EQ(c.est_cost, 1.0);
         EXPECT_EQ(c.synth_cost, 0.0);
     }
+
+    // Its exact twin: every exact cell carries its layer's synthesis
+    // volume, equal across a group (here a layer's two row counts).
+    SweepSpec spec = tinySpec();
+    spec.axes = {axis("rows", {2, 4}, [](RunConfig &c, int rows) {
+        c.accel.tile.rows = rows;
+    })};
+    plan = ModelRunner(svcConfig(9103)).planSweep(spec);
+    std::map<size_t, double> group_synth;
+    for (const GridCellInfo &c : plan) {
+        EXPECT_GT(c.synth_cost, 0.0);
+        auto it = group_synth.try_emplace(c.group, c.synth_cost).first;
+        EXPECT_EQ(it->second, c.synth_cost) << "cell " << c.cell;
+    }
+    EXPECT_EQ(group_synth.size(), plan.size() / 6); // 2 variants x 3 ops
 }
 
 TEST(RunSweepCells, InterleavedShardsMergeToIdentity)
@@ -475,8 +491,8 @@ TEST(PlanJob, PartitionsColdCellsAndSplitsGiants)
     EXPECT_LE(sp.shards.size(), 2u);
 
     // With one shard per cell the per-shard target falls below every
-    // multi-cell layer task, so the planner must split below task
-    // grain.
+    // multi-cell synthesis group, so the planner must split a giant
+    // into its op cells.
     ShardPlan fine = planJob(plan, "", plan.size());
     EXPECT_GE(fine.split_tasks, 1u);
     size_t fine_cells = 0;
@@ -484,11 +500,62 @@ TEST(PlanJob, PartitionsColdCellsAndSplitsGiants)
         fine_cells += s.cells.size();
     EXPECT_EQ(fine_cells, plan.size());
 
+    // One pricing rule, split or whole: a shard costs its cells'
+    // estimated simulation plus one synthesis of every group it holds,
+    // since its worker synthesizes each of those layers once.
+    std::map<size_t, double> group_synth;
+    for (const GridCellInfo &c : plan)
+        group_synth[c.group] = std::max(group_synth[c.group], c.synth_cost);
+    for (const ShardAssignment &s : fine.shards) {
+        double expected = 0.0;
+        std::set<size_t> held;
+        for (size_t c : s.cells) {
+            expected += plan[c].est_cost;
+            if (held.insert(plan[c].group).second)
+                expected += group_synth[plan[c].group];
+        }
+        EXPECT_NEAR(s.cost, expected, 1e-9 * expected);
+    }
+
     // Determinism: same plan, same cache state, same shards.
     ShardPlan again = planJob(plan, "", 2);
     ASSERT_EQ(again.shards.size(), sp.shards.size());
     for (size_t s = 0; s < sp.shards.size(); ++s)
         EXPECT_EQ(again.shards[s].cells, sp.shards[s].cells);
+}
+
+TEST(PlanJob, KeepsEachSynthesisGroupOnOneShard)
+{
+    // fig17's grid: the paper suite at five PE-row counts, so each of
+    // its 87 layers is one synthesis group of five slots.  Planning
+    // only; nothing simulates.
+    JobSpec job;
+    for (const ModelProfile &m : ModelZoo::paperModels())
+        job.models.push_back(m.name);
+    job.seed = 9108;
+    job.max_sampled_macs = 250000;
+    job.axes = {{AxisKind::Rows, {1, 2, 4, 8, 16}}};
+    ASSERT_EQ(job.validate(), "");
+    const std::vector<GridCellInfo> plan =
+        ModelRunner(job.baseConfig()).planSweep(job.toSweepSpec());
+    std::set<size_t> groups;
+    for (const GridCellInfo &c : plan)
+        groups.insert(c.group);
+    ASSERT_EQ(groups.size(), 87u);
+
+    // Each group lands on one shard, so the workers together
+    // synthesize every layer once.
+    for (size_t max_shards : {2u, 4u}) {
+        ShardPlan sp = planJob(plan, "", max_shards);
+        EXPECT_TRUE(sp.warm_cells.empty());
+        EXPECT_EQ(sp.shards.size(), max_shards);
+        std::set<std::pair<size_t, size_t>> placed; // (group, shard)
+        for (size_t s = 0; s < sp.shards.size(); ++s)
+            for (size_t c : sp.shards[s].cells)
+                placed.insert({plan[c].group, s});
+        EXPECT_EQ(placed.size(), groups.size()) << max_shards << " shards";
+        EXPECT_EQ(sp.split_tasks, 0u);
+    }
 }
 
 TEST(PlanJob, WarmCacheNeedsNoShards)

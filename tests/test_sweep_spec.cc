@@ -220,19 +220,26 @@ TEST(SweepSpecTest, NWayShardMergeIsBitIdenticalAcrossAConfigAxis)
     const std::vector<GridCellInfo> plan = runner.planSweep(spec);
     for (size_t n : {2u, 3u}) {
         std::vector<SweepResult> shards;
+        uint64_t synth_keys = 0;
         for (size_t i = 0; i < n; ++i) {
+            SynthCache::shared().resetCounters();
             shards.push_back(runner.runSweep(spec, Shard{i, n}));
+            synth_keys += SynthCache::shared().counters().keys;
             // One ownership path: a Shard is a filter over the plan's
             // cells, so the shard and the explicit list of its cells
             // serialize byte for byte alike.
             std::vector<size_t> cells;
             for (const GridCellInfo &c : plan)
-                if (c.slot % n == i)
+                if (c.group % n == i)
                     cells.push_back(c.cell);
             EXPECT_EQ(shards.back().serialize(),
                       runner.runSweepCells(spec, cells).serialize())
                 << "shard " << i << "/" << n;
         }
+        // A shard owns whole synthesis groups, so the shards together
+        // synthesize each of the 5 layers once, as the unsharded run
+        // does, whatever n.
+        EXPECT_EQ(synth_keys, 5u) << n << " shards";
         for (const SweepResult &s : shards) {
             EXPECT_FALSE(s.complete());
             EXPECT_TRUE(s.results.empty());
