@@ -278,6 +278,8 @@ struct BenchJsonStats
     size_t simulated = 0;
     size_t synth_keys = 0;
     size_t synth_reuses = 0;
+    size_t array_runs = 0;
+    size_t array_reuses = 0;
     double wall_ms = 0.0;
 
     static BenchJsonStats &
@@ -311,11 +313,13 @@ writeBenchJson(const Options &opts, int threads)
                  "  \"estimated\": %zu,\n"
                  "  \"simulated\": %zu,\n"
                  "  \"synth_keys\": %zu,\n"
-                 "  \"synth_reuses\": %zu\n"
+                 "  \"synth_reuses\": %zu,\n"
+                 "  \"array_runs\": %zu,\n"
+                 "  \"array_reuses\": %zu\n"
                  "}\n",
                  s.wall_ms, threads, opts.reps, s.tasks, s.cells,
                  s.cache_hits, s.estimated, s.simulated, s.synth_keys,
-                 s.synth_reuses);
+                 s.synth_reuses, s.array_runs, s.array_reuses);
     std::fclose(f);
     std::printf("json written to %s\n", opts.json.c_str());
 }
@@ -362,7 +366,11 @@ runFigure(const Options &opts, BuildFn &&build)
  * line reports the process-wide synthesis counters the same way: a
  * cold N-variant geometry sweep shows `keys=` at the single-variant
  * cell count and `reuses=` covering the other N-1 variants (CI
- * anchors on it; `reuses=` stays the final field). */
+ * anchors on it; `reuses=` stays the final field).  The `[array]`
+ * line splits the simulated op cells into those that lowered and
+ * tile-ran their op and those finished from an earlier run of the
+ * same group task (a cold N-point tile-count sweep shows `reuses=`
+ * at N-1 times `runs=`). */
 inline void
 reportCache(const SweepResult &sweep)
 {
@@ -377,6 +385,8 @@ reportCache(const SweepResult &sweep)
     const SynthCounters s = SynthCache::shared().counters();
     std::printf("[synth] keys=%zu reuses=%zu\n", (size_t)s.keys,
                 (size_t)s.reuses);
+    std::printf("[array] runs=%zu reuses=%zu\n", (size_t)s.array_runs,
+                (size_t)s.array_reuses);
 
     BenchJsonStats &j = BenchJsonStats::instance();
     j.have_sweep = true;
@@ -387,6 +397,8 @@ reportCache(const SweepResult &sweep)
     j.simulated = sweep.simulated;
     j.synth_keys = (size_t)s.keys;
     j.synth_reuses = (size_t)s.reuses;
+    j.array_runs = (size_t)s.array_runs;
+    j.array_reuses = (size_t)s.array_reuses;
 }
 
 /**

@@ -129,6 +129,15 @@ synthesizeLayer(const SweepSpec &spec, const SweepUnit &unit,
                                 unit.progress, layer_rng);
 }
 
+/** One op's tile-array half, kept by a group task for its later
+ * slots under the same AcceleratorConfig::arrayConfig(). */
+struct GroupArrayRun
+{
+    uint64_t array_fingerprint;
+    TrainOp op;
+    ArrayRun run;
+};
+
 /**
  * Simulate the missing op cells of one layer slot on a private
  * Accelerator: (observe + freeze the gating table) -> lower ->
@@ -136,6 +145,12 @@ synthesizeLayer(const SweepSpec &spec, const SweepUnit &unit,
  * the variant's config, the unit and the layer's tensors @p st —
  * everything the TaskKey fingerprints — so slots run in any order on
  * any thread and results memoise exactly, per cell.
+ *
+ * The lowering and tile runs of an op are looked up in @p arrays, the
+ * group task's earlier array runs, by (arrayConfig() fingerprint, op)
+ * and run only on a miss; each cell then finishes under its own
+ * variant's tile count and memory model.  So a tile-count axis lowers
+ * and runs each op once per layer.
  *
  * The observe phase lives inside the slot: gating decisions depend
  * only on the layer's own measured zero fractions (the serial driver
@@ -149,7 +164,8 @@ synthesizeLayer(const SweepSpec &spec, const SweepUnit &unit,
 void
 simulateSlotOps(const SweepSpec &spec, const SweepUnit &unit,
                 const SynthTensors &st, std::span<const TrainOp> ops,
-                uint32_t missing, LayerResult *out)
+                uint32_t missing, std::vector<GroupArrayRun> *arrays,
+                LayerResult *out)
 {
     const RunConfig &config = *unit.config;
     AcceleratorConfig accel_cfg = config.accel;
@@ -175,13 +191,27 @@ simulateSlotOps(const SweepSpec &spec, const SweepUnit &unit,
         out_sparsity[(int)TrainOp::Forward] = st.act_sparsity;
         out_sparsity[(int)TrainOp::BackwardData] = st.grad_sparsity;
     }
+    const uint64_t array_fp = accel_cfg.arrayConfig().fingerprint();
+    SynthCache &counts = SynthCache::shared();
     for (size_t j = 0; j < ops.size(); ++j) {
         if (!(missing & (1u << j)))
             continue;
         TrainOp op = ops[j];
+        const GroupArrayRun *shared = nullptr;
+        for (const GroupArrayRun &a : *arrays)
+            if (a.array_fingerprint == array_fp && a.op == op)
+                shared = &a;
+        if (shared) {
+            counts.countArrayReuse();
+        } else {
+            arrays->push_back({array_fp, op,
+                               accel.runArray(op, t.acts, t.weights,
+                                              t.grads, t.spec)});
+            shared = &arrays->back();
+            counts.countArrayRun();
+        }
         OpCellResult &cell = out->cells[j];
-        cell.op = accel.runConvOp(op, t.acts, t.weights, t.grads, t.spec,
-                                  out_sparsity[(int)op]);
+        cell.op = accel.finishOp(shared->run, out_sparsity[(int)op]);
         cell.energy_base = accel.energy(cell.op, false);
         cell.energy_td = accel.energy(cell.op, true);
     }
@@ -506,8 +536,10 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
     std::mutex hook_mu;
     size_t done_slots = 0; ///< guarded by hook_mu
     auto runGroup = [&](size_t g) {
-        // The group's tensors, synthesized on its first exact miss.
+        // The group's tensors, synthesized on its first exact miss, and
+        // its array runs, which later slots finish instead of rerunning.
         std::shared_ptr<const SynthTensors> tensors;
+        std::vector<GroupArrayRun> arrays;
         size_t prev = nslots;
         for (size_t c : groups[g].cells) {
             // One visit per slot: a slot's owned cells are adjacent.
@@ -555,7 +587,7 @@ runGrid(const RunConfig &exec, const Grid &grid, const GridEnumeration &e,
                                                    slot.layer);
                         });
                     simulateSlotOps(grid.spec, unit, *tensors, ops,
-                                    missing, &out);
+                                    missing, &arrays, &out);
                 }
                 std::atomic<size_t> &produced =
                     exact ? simulated : estimated;

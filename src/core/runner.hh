@@ -19,7 +19,11 @@
  * the layer once and walks its slots in serial order (lower ->
  * simulate the phase's op set, each slot on its own Accelerator
  * instance), claimed by the sweep's own threads (one parallelFor per
- * sweep, joined before it returns).  Groups are claimed
+ * sweep, joined before it returns).  Slots whose configs differ only
+ * in how an op finishes (AcceleratorConfig::arrayConfig(): tile
+ * count, memory model, ...) share the task's one lowering and tile
+ * run of each op, and each finishes it under its own config.  Groups
+ * are claimed
  * costliest-first — ranked by the closed-form OpEstimator's predicted
  * simulation cost plus the layer's synthesis volume, which sees the
  * variants' geometry (sampling caps, gather/schedule volume, the
@@ -427,6 +431,13 @@ struct CellGroup
  * GridCellInfo::group, in first-appearance order: the units the claim
  * loop runs and the sweep service's planner packs.  The one pricing
  * rule: a group costs its cells' estimates plus one synthesis.
+ *
+ * The price still counts every cell's estimate, though variants that
+ * differ only in how an op finishes (a tile-count or memory-model
+ * axis) share one array run, so such a group is priced up to its
+ * variant count too high.  Every group of a grid carries the same
+ * variant set and so the same sharing; the price is left as it is,
+ * and with it the claim order and the planner's packing.
  */
 std::vector<CellGroup> groupCells(std::span<const GridCellInfo> plan,
                                   std::span<const size_t> cells);

@@ -81,6 +81,18 @@ SynthCache::countReuse()
     reuses_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void
+SynthCache::countArrayRun()
+{
+    array_runs_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void
+SynthCache::countArrayReuse()
+{
+    array_reuses_.fetch_add(1, std::memory_order_relaxed);
+}
+
 uint64_t
 SynthCache::residentBytes() const
 {
@@ -91,7 +103,9 @@ SynthCounters
 SynthCache::counters() const
 {
     return {keys_.load(std::memory_order_relaxed),
-            reuses_.load(std::memory_order_relaxed)};
+            reuses_.load(std::memory_order_relaxed),
+            array_runs_.load(std::memory_order_relaxed),
+            array_reuses_.load(std::memory_order_relaxed)};
 }
 
 void
@@ -99,6 +113,8 @@ SynthCache::resetCounters()
 {
     keys_.store(0, std::memory_order_relaxed);
     reuses_.store(0, std::memory_order_relaxed);
+    array_runs_.store(0, std::memory_order_relaxed);
+    array_reuses_.store(0, std::memory_order_relaxed);
 }
 
 } // namespace tensordash

@@ -26,7 +26,12 @@
  * so a returned, cancelled or thrown sweep holds nothing, and separate
  * sweeps synthesize their own tensors.
  *
- * SynthCache is the process-wide account of that synthesis: the
+ * The same task shares the array work too: slots whose configs differ
+ * only in what Accelerator::finishOp() reads (a tile-count or
+ * memory-model axis) lower and tile-run each op once and finish it per
+ * variant.
+ *
+ * SynthCache is the process-wide account of that sharing: the
  * counters and resident bytes benches and the repo benchmark read.
  * It stores no tensors.
  */
@@ -101,19 +106,24 @@ struct SynthTensors
 /**
  * Effectiveness counters of one SynthCache.  A cold N-variant
  * geometry sweep shows reuses == (N - 1) * keys — one synthesis per
- * unique key, served to every variant's slot.
+ * unique key, served to every variant's slot.  Its simulated op cells
+ * split into array_runs + array_reuses: a cold N-point tile-count
+ * sweep shows array_reuses == (N - 1) * array_runs.
  */
 struct SynthCounters
 {
     uint64_t keys = 0;   ///< synthesize calls
     uint64_t reuses = 0; ///< further slots served by a task's one synthesis
+    uint64_t array_runs = 0;   ///< op cells lowered and tile-run
+    uint64_t array_reuses = 0; ///< op cells finished from an earlier run
 };
 
 /**
  * Process-wide accounting of synthesized layers: every synthesis goes
  * through synthesize(), every slot served by an earlier synthesis of
- * its task is counted by countReuse(), and the bytes of tensors still
- * held are resident until their holder drops them.
+ * its task is counted by countReuse(), every simulated op cell by
+ * countArrayRun() or countArrayReuse(), and the bytes of tensors
+ * still held are resident until their holder drops them.
  */
 class SynthCache
 {
@@ -136,10 +146,16 @@ class SynthCache
     /** Count one more slot served by an earlier synthesis. */
     void countReuse();
 
+    /** Count one op cell that lowered and tile-ran its op. */
+    void countArrayRun();
+
+    /** Count one op cell finished from its task's earlier array run. */
+    void countArrayReuse();
+
     /** Bytes of synthesized tensors still held: 0 between sweeps. */
     uint64_t residentBytes() const;
 
-    /** Snapshot of the lifetime synthesize/reuse counters. */
+    /** Snapshot of the lifetime synthesis and array counters. */
     SynthCounters counters() const;
 
     /** Zero the counters (benches isolating one sweep's traffic). */
@@ -153,6 +169,8 @@ class SynthCache
   private:
     std::atomic<uint64_t> keys_{0};
     std::atomic<uint64_t> reuses_{0};
+    std::atomic<uint64_t> array_runs_{0};
+    std::atomic<uint64_t> array_reuses_{0};
     std::atomic<uint64_t> resident_{0};
 };
 

@@ -37,6 +37,21 @@ AcceleratorConfig::fingerprint() const
     return h.value();
 }
 
+AcceleratorConfig
+AcceleratorConfig::arrayConfig() const
+{
+    const AcceleratorConfig defaults;
+    AcceleratorConfig a = *this;
+    a.tiles = defaults.tiles;
+    a.dtype = defaults.dtype;
+    a.freq_ghz = defaults.freq_ghz;
+    a.dram = defaults.dram;
+    a.energy = defaults.energy;
+    a.memory_model = defaults.memory_model;
+    a.mem_pipeline = defaults.mem_pipeline;
+    return a;
+}
+
 void
 OpResult::serialize(ByteWriter &w) const
 {
@@ -84,6 +99,14 @@ Accelerator::Accelerator(const AcceleratorConfig &config)
 OpResult
 Accelerator::runOp(const LoweredOp &lowered, GateOperand gate) const
 {
+    OpResult result = runJobs(lowered, gate);
+    divideByTiles(result);
+    return result;
+}
+
+OpResult
+Accelerator::runJobs(const LoweredOp &lowered, GateOperand gate) const
+{
     OpResult result;
     result.op = lowered.op;
     result.b_nonzero_slots = (double)lowered.b_nonzero_slots;
@@ -109,10 +132,8 @@ Accelerator::runOp(const LoweredOp &lowered, GateOperand gate) const
         }
     }
 
-    // Jobs spread round-robin over the tiles; with many jobs per layer
-    // the tiles stay balanced, so time is total job cycles / tiles.
-    result.base_cycles = base_cycles / config_.tiles;
-    result.td_cycles = td_cycles / config_.tiles;
+    result.base_cycles = base_cycles;
+    result.td_cycles = td_cycles;
 
     // Staging traffic observed by the tiles, scaled to the full layer.
     double scale = lowered.sampled_jobs
@@ -126,14 +147,32 @@ Accelerator::runOp(const LoweredOp &lowered, GateOperand gate) const
     // One accumulated output per (b, a) pair, written back in blocks.
     double outputs = (double)lowered.out_shape.size();
     result.activity.sram_block_writes = outputs / config_.tile.lanes;
-    result.activity.cycles = result.td_cycles;
     return result;
+}
+
+void
+Accelerator::divideByTiles(OpResult &result) const
+{
+    // Jobs spread round-robin over the tiles; with many jobs per layer
+    // the tiles stay balanced, so time is total job cycles / tiles.
+    result.base_cycles /= config_.tiles;
+    result.td_cycles /= config_.tiles;
+    result.activity.cycles = result.td_cycles;
 }
 
 OpResult
 Accelerator::runConvOp(TrainOp op, const Tensor &acts,
                        const Tensor &weights, const Tensor &out_grads,
                        const ConvSpec &spec, double out_sparsity) const
+{
+    return finishOp(runArray(op, acts, weights, out_grads, spec),
+                    out_sparsity);
+}
+
+ArrayRun
+Accelerator::runArray(TrainOp op, const Tensor &acts,
+                      const Tensor &weights, const Tensor &out_grads,
+                      const ConvSpec &spec) const
 {
     Dataflow dataflow(config_.dataflow(false));
     LoweredOp lowered;
@@ -174,8 +213,15 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
                       .in1_nz = in1.nonzeros(), .in1_total = in1.size(),
                       .out_total = lowered.out_shape.size(),
                       .transposed = transposed};
-    OpResult result = runOp(lowered, gate);
-    chargeOffChip(config_, traffic, out_sparsity, result);
+    return {runJobs(lowered, gate), traffic};
+}
+
+OpResult
+Accelerator::finishOp(const ArrayRun &run, double out_sparsity) const
+{
+    OpResult result = run.result;
+    divideByTiles(result);
+    chargeOffChip(config_, run.traffic, out_sparsity, result);
     return result;
 }
 

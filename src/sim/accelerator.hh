@@ -118,6 +118,18 @@ struct AcceleratorConfig
     /** Stand-alone fingerprint of this configuration. */
     uint64_t fingerprint() const;
 
+    /**
+     * This configuration with the fields only Accelerator::finishOp()
+     * reads reset to their defaults: tiles, dtype, freq_ghz, dram,
+     * energy, memory_model and mem_pipeline.  Two configurations with
+     * one arrayConfig().fingerprint() get bit-identical
+     * Accelerator::runArray() output from the same operands and gate
+     * observations.  Every other field stays in, so a field added
+     * later and not reset here costs a missed share, never a wrong
+     * result.
+     */
+    AcceleratorConfig arrayConfig() const;
+
     /** Geometry handed to the area/energy models. */
     ArchGeometry
     geometry() const
@@ -255,6 +267,19 @@ EnergyBreakdown opEnergy(const EnergyModel &model, const OpResult &result,
                          bool tensordash);
 
 /**
+ * The tile-array half of one op: what lowering and the tile runs
+ * produce, which no tile count, data type, clock, DRAM, energy or
+ * memory-model setting can change (AcceleratorConfig::arrayConfig()).
+ * Its cycles are the jobs' weighted sums over all tiles, not yet
+ * divided by the tile count, and activity.cycles is unset.
+ */
+struct ArrayRun
+{
+    OpResult result;
+    OpTraffic traffic;
+};
+
+/**
  * Cycle-level accelerator simulator.
  *
  * Running an op is logically const: results depend only on the config,
@@ -303,6 +328,24 @@ class Accelerator
                        double out_sparsity = 0.0) const;
 
     /**
+     * runConvOp()'s tile-array half: lower the op, run its jobs under
+     * the frozen power gate and count the operands' nonzeros.  Any
+     * accelerator whose config has this one's arrayConfig()
+     * fingerprint, gated from the same observations, may finish the
+     * result.
+     */
+    ArrayRun runArray(TrainOp op, const Tensor &acts,
+                      const Tensor &weights, const Tensor &out_grads,
+                      const ConvSpec &spec) const;
+
+    /**
+     * runConvOp()'s per-configuration half: divide @p run's cycle sums
+     * by this accelerator's tile count and charge its off-chip
+     * traffic.  runConvOp() is finishOp(runArray(...)).
+     */
+    OpResult finishOp(const ArrayRun &run, double out_sparsity) const;
+
+    /**
      * Functional run: exhaustive lowering with values, producing the
      * op's full output tensor through the TensorDash tiles.
      */
@@ -315,6 +358,13 @@ class Accelerator
     const EnergyModel &energyModel() const { return energy_model_; }
 
   private:
+    /** runOp() before the tile division: cycles summed over all
+     * jobs, activity.cycles unset. */
+    OpResult runJobs(const LoweredOp &lowered, GateOperand gate) const;
+
+    /** Spread @p result's summed cycles over the tiles. */
+    void divideByTiles(OpResult &result) const;
+
     AcceleratorConfig config_;
     /** Scratch-carrying cycle model; results don't depend on it. */
     mutable Tile tile_;

@@ -1,13 +1,19 @@
 /**
  * @file
  * Integration tests for the accelerator top level: lowering + tiles +
- * memory traffic + energy, plus the power-gating behaviour of paper
- * section 3.5.
+ * memory traffic + energy, the split of an op into its tile-array
+ * half and its per-config finish, plus the power-gating behaviour of
+ * paper section 3.5.
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "sim/accelerator.hh"
 
 namespace tensordash {
@@ -134,6 +140,57 @@ TEST(Accelerator, PotentialBoundsActualSpeedup)
     EXPECT_GT(r.potentialSpeedup(), 1.5);
 }
 
+/** Bit-exact comparison handle for an op result. */
+std::vector<uint8_t>
+opBytes(const OpResult &r)
+{
+    ByteWriter w;
+    r.serialize(w);
+    return w.data();
+}
+
+/** An array run's bytes: its result and its traffic counts. */
+std::vector<uint8_t>
+arrayBytes(const ArrayRun &run)
+{
+    ByteWriter w;
+    run.result.serialize(w);
+    const OpTraffic &t = run.traffic;
+    for (uint64_t v : {t.in0_nz, t.in0_total, t.in1_nz, t.in1_total,
+                       t.out_total, t.transposed})
+        w.u64(v);
+    return w.data();
+}
+
+/** One named change to an accelerator configuration. */
+using ConfigFlip =
+    std::pair<const char *, std::function<void(AcceleratorConfig &)>>;
+
+/** One flip per field AcceleratorConfig::arrayConfig() resets. */
+std::vector<ConfigFlip>
+finishingFlips()
+{
+    return {
+        {"tiles", [](AcceleratorConfig &c) { c.tiles = 4; }},
+        {"dtype", [](AcceleratorConfig &c) { c.dtype = DataType::Bf16; }},
+        {"freq_ghz", [](AcceleratorConfig &c) { c.freq_ghz = 1.0; }},
+        {"dram.channels",
+         [](AcceleratorConfig &c) { c.dram.channels = 1; }},
+        {"energy.sram_read_pj",
+         [](AcceleratorConfig &c) { c.energy.sram_read_pj = 40.0; }},
+        {"memory_model",
+         [](AcceleratorConfig &c) {
+             c.memory_model = c.memory_model == MemoryModel::Analytic
+                 ? MemoryModel::Pipelined
+                 : MemoryModel::Analytic;
+         }},
+        {"mem_pipeline.chunk_bytes",
+         [](AcceleratorConfig &c) {
+             c.mem_pipeline.chunk_bytes = 32.0 * 1024.0;
+         }},
+    };
+}
+
 TEST(Accelerator, TileCountDividesCycles)
 {
     Rng rng(6);
@@ -149,6 +206,81 @@ TEST(Accelerator, TileCountDividesCycles)
                                t.spec);
     EXPECT_NEAR(r1.td_cycles / r4.td_cycles, 4.0, 1e-6);
     EXPECT_NEAR(r1.speedup(), r4.speedup(), 1e-9);
+
+    // The finish contract: the tile count, and every other field
+    // arrayConfig() resets, reaches only finishOp().  Flipping one
+    // leaves the tile-array half bit-identical, and finishing that
+    // half under the flipped config is runConvOp() under it, bit for
+    // bit.
+    const double out_sparsity = 0.3;
+    for (TrainOp op : {TrainOp::Forward, TrainOp::BackwardData,
+                       TrainOp::BackwardWeights}) {
+        const std::vector<uint8_t> base =
+            arrayBytes(a1.runArray(op, t.acts, t.weights, t.go, t.spec));
+        for (const ConfigFlip &flip : finishingFlips()) {
+            AcceleratorConfig cfg = one;
+            flip.second(cfg);
+            Accelerator accel(cfg);
+            ArrayRun run =
+                accel.runArray(op, t.acts, t.weights, t.go, t.spec);
+            EXPECT_EQ(arrayBytes(run), base)
+                << flip.first << " op " << (int)op;
+            EXPECT_EQ(opBytes(accel.finishOp(run, out_sparsity)),
+                      opBytes(accel.runConvOp(op, t.acts, t.weights,
+                                              t.go, t.spec,
+                                              out_sparsity)))
+                << flip.first << " op " << (int)op;
+        }
+    }
+    // runArray() returns the cycle sums before the tile division.
+    ArrayRun fwd = a4.runArray(TrainOp::Forward, t.acts, t.weights, t.go,
+                               t.spec);
+    EXPECT_EQ(fwd.result.td_cycles / 4, r4.td_cycles);
+}
+
+TEST(Accelerator, ArrayConfigKeysEveryArrayField)
+{
+    // Two configs share an array run only when their arrayConfig()
+    // fingerprints match: every field the tile-array half reads must
+    // move it, and no field that only finishOp() reads may.
+    const AcceleratorConfig base;
+    const uint64_t fp = base.arrayConfig().fingerprint();
+    const std::vector<ConfigFlip> array_fields = {
+        {"tile.rows", [](AcceleratorConfig &c) { c.tile.rows = 8; }},
+        {"tile.cols", [](AcceleratorConfig &c) { c.tile.cols = 8; }},
+        {"tile.lanes", [](AcceleratorConfig &c) { c.tile.lanes = 8; }},
+        {"tile.depth", [](AcceleratorConfig &c) { c.tile.depth = 2; }},
+        {"tile.interconnect",
+         [](AcceleratorConfig &c) {
+             c.tile.interconnect = InterconnectKind::LookaheadOnly;
+         }},
+        {"max_sampled_macs",
+         [](AcceleratorConfig &c) { c.max_sampled_macs = 1000; }},
+        {"seed", [](AcceleratorConfig &c) { c.seed = 2; }},
+        {"power_gating",
+         [](AcceleratorConfig &c) { c.power_gating = true; }},
+        {"gate_min_sparsity",
+         [](AcceleratorConfig &c) { c.gate_min_sparsity = 0.2; }},
+        {"fwd_side",
+         [](AcceleratorConfig &c) { c.fwd_side = FwdSide::Weights; }},
+        {"bwd_data_side",
+         [](AcceleratorConfig &c) {
+             c.bwd_data_side = BwdDataSide::Weights;
+         }},
+        {"wg_side",
+         [](AcceleratorConfig &c) { c.wg_side = WgSide::Gradients; }},
+    };
+    for (const ConfigFlip &flip : array_fields) {
+        AcceleratorConfig cfg = base;
+        flip.second(cfg);
+        EXPECT_NE(cfg.arrayConfig().fingerprint(), fp) << flip.first;
+    }
+    for (const ConfigFlip &flip : finishingFlips()) {
+        AcceleratorConfig cfg = base;
+        flip.second(cfg);
+        EXPECT_NE(cfg.fingerprint(), base.fingerprint()) << flip.first;
+        EXPECT_EQ(cfg.arrayConfig().fingerprint(), fp) << flip.first;
+    }
 }
 
 TEST(Accelerator, MemoryTrafficCharged)

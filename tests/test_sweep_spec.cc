@@ -4,7 +4,8 @@
  * addressing, per-variant TaskKey sensitivity (changing one axis value
  * re-simulates only that variant's cells), N-way shard merges across a
  * config axis, equivalence of a single-variant SweepSpec with the
- * legacy runMany() path, custom synthesis hooks, and Shard/spec
+ * legacy runMany() path, array runs shared across tile-count and
+ * memory-model variants, custom synthesis hooks, and Shard/spec
  * validation at the API boundary.
  */
 
@@ -257,6 +258,59 @@ TEST(SweepSpecTest, NWayShardMergeIsBitIdenticalAcrossAConfigAxis)
                           merged.at(m, 0, v).speedup());
             }
         }
+    }
+}
+
+/** One layer slot's cells, serialized. */
+std::vector<uint8_t>
+slotBytes(const LayerResult &slot)
+{
+    ByteWriter w;
+    slot.serialize(w);
+    return w.data();
+}
+
+TEST(SweepSpecTest, TileAndMemoryVariantsShareEachArrayRun)
+{
+    // A tile count and a memory model change only how an op finishes,
+    // so a layer's group task lowers and tile-runs each op once for
+    // all four variants.  The sharing must never show in a cell: each
+    // variant's cells equal that variant run alone.
+    RunConfig cfg = specConfig(21009);
+    cfg.cache = false; // every run below must really simulate
+    SweepSpec spec;
+    spec.models = tinyModels();
+    spec.axes = {
+        axis("tiles", {1, 4},
+             [](RunConfig &c, int tiles) { c.accel.tiles = tiles; }),
+        axis("memory",
+             {{"analytic",
+               [](RunConfig &c) {
+                   c.accel.memory_model = MemoryModel::Analytic;
+               }},
+              {"pipelined", [](RunConfig &c) {
+                   c.accel.memory_model = MemoryModel::Pipelined;
+               }}})};
+    SynthCache::shared().resetCounters();
+    SweepResult full = ModelRunner(cfg).runSweep(spec);
+    const SynthCounters counts = SynthCache::shared().counters();
+    ASSERT_TRUE(full.complete());
+    const size_t layers = full.slotsPerVariant(); // 2 + 3, one point
+    ASSERT_EQ(layers, 5u);
+    EXPECT_EQ(counts.keys, layers);
+    EXPECT_EQ(counts.array_runs, layers * 3);
+    EXPECT_EQ(counts.array_reuses, 3 * counts.array_runs);
+
+    SweepSpec alone;
+    alone.models = spec.models;
+    for (size_t v = 0; v < spec.variantCount(); ++v) {
+        SweepResult solo =
+            ModelRunner(spec.variantConfig(cfg, v)).runSweep(alone);
+        ASSERT_EQ(solo.taskCount(), layers);
+        for (size_t s = 0; s < layers; ++s)
+            EXPECT_EQ(slotBytes(full.layer_results[v * layers + s]),
+                      slotBytes(solo.layer_results[s]))
+                << spec.variantLabel(v) << " slot " << s;
     }
 }
 
