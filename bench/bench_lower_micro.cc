@@ -5,7 +5,9 @@
  * tile jobs.  Each case lowers a synthesized zoo layer at fig13's
  * config (4x4 tile, 16 lanes, 600k sampled-MAC cap, mask mode) and
  * reports `per_slot`, the time per gathered operand slot (rows x lanes
- * of every B and A stream built), in ns.
+ * of every stream built), in ns.  Mask mode gathers only the
+ * scheduled B side (the A side is one empty placeholder per column),
+ * so the slots are B-side slots.
  */
 
 #include "bench_util.hh"
@@ -84,7 +86,8 @@ lower(const Dataflow &df, const ZooLayer &layer, TrainOp op)
     return {};
 }
 
-/** Operand slots gathered into @p lowered's B and A streams. */
+/** Operand slots gathered into @p lowered's streams (mask mode: the
+ * B side alone). */
 uint64_t
 gatheredSlots(const LoweredOp &lowered)
 {

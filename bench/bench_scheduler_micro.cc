@@ -1,7 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator's hot paths: the
- * hierarchical scheduler, the PE cycle loop and the matching oracle.
+ * hierarchical scheduler (per-lane selections, and the tile's
+ * in-place consume), the PE cycle loop and the matching oracle.
  * These measure *simulator* throughput (schedules per second), which
  * bounds how much layer volume the benches can sample.
  */
@@ -49,6 +50,24 @@ BM_SchedulerSchedule(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SchedulerSchedule)->Arg(0)->Arg(50)->Arg(90);
+
+/** One row-cycle of the tile's mask path: schedule a window and clear
+ * its picks in place. */
+void
+BM_SchedulerConsume(benchmark::State &state)
+{
+    MuxPattern pattern(16, 3);
+    HierarchicalScheduler sched(pattern);
+    auto windows = randomWindows(1024, state.range(0) / 100.0, 42);
+    size_t i = 0;
+    for (auto _ : state) {
+        std::array<uint32_t, 3> w = windows[i++ & 1023];
+        benchmark::DoNotOptimize(sched.consume(w.data(), 3));
+        benchmark::DoNotOptimize(w);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerConsume)->Arg(0)->Arg(30)->Arg(50)->Arg(90);
 
 void
 BM_OracleMatching(benchmark::State &state)

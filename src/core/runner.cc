@@ -206,7 +206,8 @@ simulateSlotOps(const SweepSpec &spec, const SweepUnit &unit,
         } else {
             arrays->push_back({array_fp, op,
                                accel.runArray(op, t.acts, t.weights,
-                                              t.grads, t.spec)});
+                                              t.grads, t.spec,
+                                              st.nonzeros)});
             shared = &arrays->back();
             counts.countArrayRun();
         }

@@ -62,10 +62,15 @@ SynthCache::synthesize(const SynthFn &synthesize)
 {
     auto entry = std::make_unique<SynthTensors>();
     entry->tensors = synthesize();
-    entry->act_sparsity = entry->tensors.acts.sparsity();
-    entry->weight_sparsity = entry->tensors.weights.sparsity();
-    entry->grad_sparsity = entry->tensors.grads.sparsity();
-    entry->bytes = tensorsBytes(entry->tensors);
+    const LayerTensors &t = entry->tensors;
+    const LayerNonzeros nz =
+        LayerNonzeros::count(t.acts, t.weights, t.grads);
+    entry->nonzeros = nz;
+    entry->act_sparsity = Tensor::sparsityOf(nz.acts, t.acts.size());
+    entry->weight_sparsity =
+        Tensor::sparsityOf(nz.weights, t.weights.size());
+    entry->grad_sparsity = Tensor::sparsityOf(nz.grads, t.grads.size());
+    entry->bytes = tensorsBytes(t);
     keys_.fetch_add(1, std::memory_order_relaxed);
     resident_.fetch_add(entry->bytes, std::memory_order_relaxed);
     return std::shared_ptr<const SynthTensors>(

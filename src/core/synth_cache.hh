@@ -42,6 +42,7 @@
 #include <memory>
 
 #include "models/model_zoo.hh"
+#include "sim/accelerator.hh"
 
 namespace tensordash {
 
@@ -87,14 +88,16 @@ struct SynthKey
 };
 
 /**
- * One synthesized layer: the tensors plus their three measured
- * sparsities, so power-gating observation and write-back sparsity
- * estimation never rescan a shared tensor.  Immutable after
- * synthesis.
+ * One synthesized layer: the tensors plus their nonzero counts and the
+ * three sparsities derived from them, so power-gating observation,
+ * write-back sparsity estimation and every op's array run (its
+ * off-chip traffic and Auto side choice) never rescan a shared
+ * tensor.  Immutable after synthesis.
  */
 struct SynthTensors
 {
     LayerTensors tensors;
+    LayerNonzeros nonzeros;
     double act_sparsity = 0.0;
     double weight_sparsity = 0.0;
     double grad_sparsity = 0.0;
@@ -135,8 +138,8 @@ class SynthCache
     using SynthFn = std::function<LayerTensors()>;
 
     /**
-     * Synthesize one layer via @p synthesize and measure its
-     * sparsities.  Counts one key; the tensor bytes stay resident
+     * Synthesize one layer via @p synthesize and count its nonzeros
+     * once.  Counts one key; the tensor bytes stay resident
      * until the last copy of the returned pointer is dropped, so this
      * cache must outlive it.
      */

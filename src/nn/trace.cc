@@ -16,15 +16,21 @@ TraceEvaluator::evaluate(const std::vector<LayerTrace> &traces)
     double act_nz = 0, act_n = 0, grad_nz = 0, grad_n = 0, w_nz = 0,
            w_n = 0;
     for (const LayerTrace &t : traces) {
-        act_nz += (double)t.acts.nonzeros();
+        // One count per layer serves the sparsity summary and all
+        // three ops' array runs.
+        const LayerNonzeros nz =
+            LayerNonzeros::count(t.acts, t.weights, t.grads);
+        act_nz += (double)nz.acts;
         act_n += (double)t.acts.size();
-        grad_nz += (double)t.grads.nonzeros();
+        grad_nz += (double)nz.grads;
         grad_n += (double)t.grads.size();
-        w_nz += (double)t.weights.nonzeros();
+        w_nz += (double)nz.weights;
         w_n += (double)t.weights.size();
         for (int i = 0; i < 3; ++i) {
-            OpResult r = accel.runConvOp((TrainOp)i, t.acts, t.weights,
-                                         t.grads, t.spec);
+            OpResult r = accel.finishOp(
+                accel.runArray((TrainOp)i, t.acts, t.weights, t.grads,
+                               t.spec, nz),
+                0.0);
             per_op[i].merge(r);
             total.merge(r);
         }

@@ -165,15 +165,33 @@ Accelerator::runConvOp(TrainOp op, const Tensor &acts,
                        const Tensor &weights, const Tensor &out_grads,
                        const ConvSpec &spec, double out_sparsity) const
 {
-    return finishOp(runArray(op, acts, weights, out_grads, spec),
+    return finishOp(runArray(op, acts, weights, out_grads, spec,
+                             LayerNonzeros::count(acts, weights,
+                                                  out_grads)),
                     out_sparsity);
+}
+
+LayerNonzeros
+LayerNonzeros::count(const Tensor &acts, const Tensor &weights,
+                     const Tensor &grads)
+{
+    return {acts.nonzeros(), weights.nonzeros(), grads.nonzeros()};
 }
 
 ArrayRun
 Accelerator::runArray(TrainOp op, const Tensor &acts,
                       const Tensor &weights, const Tensor &out_grads,
-                      const ConvSpec &spec) const
+                      const ConvSpec &spec,
+                      const LayerNonzeros &nonzeros) const
 {
+    TD_ASSERT(nonzeros.acts <= acts.size() &&
+                  nonzeros.weights <= weights.size() &&
+                  nonzeros.grads <= out_grads.size(),
+              "nonzero counts exceed their operands");
+    const OperandSparsity sparsity{
+        .acts = Tensor::sparsityOf(nonzeros.acts, acts.size()),
+        .weights = Tensor::sparsityOf(nonzeros.weights, weights.size()),
+        .grads = Tensor::sparsityOf(nonzeros.grads, out_grads.size())};
     Dataflow dataflow(config_.dataflow(false));
     LoweredOp lowered;
     uint64_t transposed = 0;
@@ -181,15 +199,15 @@ Accelerator::runArray(TrainOp op, const Tensor &acts,
 
     switch (op) {
       case TrainOp::Forward:
-        lowered = dataflow.lowerForward(acts, weights, spec,
-                                        config_.fwd_side);
+        lowered = dataflow.lowerForward(
+            acts, weights, spec, resolveSide(config_.fwd_side, sparsity));
         gate = lowered.b_is_default_side ? GateOperand::Acts
                                          : GateOperand::Weights;
         break;
       case TrainOp::BackwardData:
-        lowered = dataflow.lowerBackwardData(out_grads, weights,
-                                             acts.shape(), spec,
-                                             config_.bwd_data_side);
+        lowered = dataflow.lowerBackwardData(
+            out_grads, weights, acts.shape(), spec,
+            resolveSide(config_.bwd_data_side, sparsity));
         // The reconstructed filters pass through the transposers.
         transposed = weights.size();
         gate = lowered.b_is_default_side ? GateOperand::Grads
@@ -198,7 +216,7 @@ Accelerator::runArray(TrainOp op, const Tensor &acts,
       case TrainOp::BackwardWeights:
         lowered = dataflow.lowerBackwardWeights(
             out_grads, acts, weights.shape().h, weights.shape().w, spec,
-            config_.wg_side);
+            resolveSide(config_.wg_side, sparsity));
         // Gradients are re-bundled per filter (transposed layout).
         transposed = out_grads.size();
         gate = lowered.wg_b_is_gradients ? GateOperand::Grads
@@ -207,12 +225,15 @@ Accelerator::runArray(TrainOp op, const Tensor &acts,
     }
 
     // Operands streamed in: A or GO, then W or A.
-    const Tensor &in0 = op == TrainOp::Forward ? acts : out_grads;
-    const Tensor &in1 = op == TrainOp::BackwardWeights ? acts : weights;
-    OpTraffic traffic{.in0_nz = in0.nonzeros(), .in0_total = in0.size(),
-                      .in1_nz = in1.nonzeros(), .in1_total = in1.size(),
-                      .out_total = lowered.out_shape.size(),
-                      .transposed = transposed};
+    const bool fwd = op == TrainOp::Forward;
+    const bool wg = op == TrainOp::BackwardWeights;
+    OpTraffic traffic{
+        .in0_nz = fwd ? nonzeros.acts : nonzeros.grads,
+        .in0_total = fwd ? acts.size() : out_grads.size(),
+        .in1_nz = wg ? nonzeros.acts : nonzeros.weights,
+        .in1_total = wg ? acts.size() : weights.size(),
+        .out_total = lowered.out_shape.size(),
+        .transposed = transposed};
     return {runJobs(lowered, gate), traffic};
 }
 

@@ -249,6 +249,23 @@ struct OpTraffic
 };
 
 /**
+ * Nonzero counts of one layer's three operands.  Synthesis counts them
+ * once per layer (SynthTensors), and every op's array run reads its
+ * off-chip traffic and its Auto side choice from them instead of
+ * rescanning the tensors.
+ */
+struct LayerNonzeros
+{
+    uint64_t acts = 0;
+    uint64_t weights = 0;
+    uint64_t grads = 0;
+
+    /** Scan the three tensors once. */
+    static LayerNonzeros count(const Tensor &acts, const Tensor &weights,
+                               const Tensor &grads);
+};
+
+/**
  * Charge @p traffic to @p result: compressed DRAM bytes and transposer
  * groups into its activity, and under the Pipelined memory model the
  * resolution of its compute-only cycles against the staged memory
@@ -310,9 +327,11 @@ class Accelerator
 
     /**
      * Lower and run one training op including the off-chip traffic
-     * charge.  Every layer runs here: an FC layer is the 1x1
-     * convolution it is, with operands (N, C, 1, 1), (F, C, 1, 1) and
-     * (N, F, 1, 1) and its LayerSpec::spec() of stride 1, pad 0.
+     * charge: count the operands' nonzeros once, then
+     * finishOp(runArray(...)).  Every layer runs here: an FC layer is
+     * the 1x1 convolution it is, with operands (N, C, 1, 1),
+     * (F, C, 1, 1) and (N, F, 1, 1) and its LayerSpec::spec() of
+     * stride 1, pad 0.
      *
      * @param op            which training convolution
      * @param acts          A (N, C, H, W)
@@ -329,14 +348,21 @@ class Accelerator
 
     /**
      * runConvOp()'s tile-array half: lower the op, run its jobs under
-     * the frozen power gate and count the operands' nonzeros.  Any
+     * the frozen power gate and fill its off-chip traffic.  Any
      * accelerator whose config has this one's arrayConfig()
      * fingerprint, gated from the same observations, may finish the
      * result.
+     *
+     * @param nonzeros the three operands' nonzero counts
+     *                 (LayerNonzeros::count of acts, weights and
+     *                 out_grads): they fill the traffic and resolve
+     *                 the Auto side policies, so no operand is
+     *                 rescanned per op
      */
     ArrayRun runArray(TrainOp op, const Tensor &acts,
                       const Tensor &weights, const Tensor &out_grads,
-                      const ConvSpec &spec) const;
+                      const ConvSpec &spec,
+                      const LayerNonzeros &nonzeros) const;
 
     /**
      * runConvOp()'s per-configuration half: divide @p run's cycle sums

@@ -43,6 +43,33 @@ phaseOps(WorkloadPhase phase)
     return {};
 }
 
+FwdSide
+resolveSide(FwdSide side, const OperandSparsity &sparsity)
+{
+    if (side != FwdSide::Auto)
+        return side;
+    return sparsity.weights > sparsity.acts ? FwdSide::Weights
+                                            : FwdSide::Activations;
+}
+
+BwdDataSide
+resolveSide(BwdDataSide side, const OperandSparsity &sparsity)
+{
+    if (side != BwdDataSide::Auto)
+        return side;
+    return sparsity.weights > sparsity.grads ? BwdDataSide::Weights
+                                             : BwdDataSide::Gradients;
+}
+
+WgSide
+resolveSide(WgSide side, const OperandSparsity &sparsity)
+{
+    if (side != WgSide::Auto)
+        return side;
+    return sparsity.grads >= sparsity.acts ? WgSide::Gradients
+                                           : WgSide::Activations;
+}
+
 namespace {
 
 /**
@@ -249,9 +276,13 @@ lowerGeneric(const DataflowConfig &cfg, TrainOp op, const Gather<BRuns> &b,
             lowered.b_nonzero_slots += job.b.back().nonzeros();
             lowered.b_total_slots += job.b.back().slots();
         }
+        // Only the B side is scheduled, so a mask-mode A stream is an
+        // empty placeholder that counts its column.
         for (int id = a0; id < a0 + na; ++id) {
             a_ids.push_back(id);
-            job.a.push_back(gatherStream(a, id, cfg, lowered.steps));
+            job.a.push_back(cfg.with_values
+                                ? gatherStream(a, id, cfg, lowered.steps)
+                                : BlockStream(cfg.lanes));
         }
     }
     return lowered;
@@ -272,8 +303,8 @@ Dataflow::lowerForward(const Tensor &acts, const Tensor &weights,
     int taps = ws.h * ws.w;
 
     if (side == FwdSide::Auto) {
-        side = weights.sparsity() > acts.sparsity()
-            ? FwdSide::Weights : FwdSide::Activations;
+        side = resolveSide(side, {.acts = acts.sparsity(),
+                                  .weights = weights.sparsity()});
     }
 
     // Reduction order: (ky, kx) outer, channel inner, so each lane row
@@ -332,8 +363,8 @@ Dataflow::lowerBackwardData(const Tensor &out_grads, const Tensor &weights,
     int taps = ws.h * ws.w;
 
     if (side == BwdDataSide::Auto) {
-        side = weights.sparsity() > out_grads.sparsity()
-            ? BwdDataSide::Weights : BwdDataSide::Gradients;
+        side = resolveSide(side, {.weights = weights.sparsity(),
+                                  .grads = out_grads.sparsity()});
     }
 
     // Reduction order: (ky, kx) outer, filter inner.  The B side gathers
@@ -393,9 +424,8 @@ Dataflow::lowerBackwardWeights(const Tensor &out_grads, const Tensor &acts,
     TD_ASSERT(gs.n == as.n, "batch mismatch in backward-weights lowering");
 
     if (side == WgSide::Auto) {
-        // The paper targets GO or A, whichever is sparser (section 2).
-        side = out_grads.sparsity() >= acts.sparsity()
-            ? WgSide::Gradients : WgSide::Activations;
+        side = resolveSide(side, {.acts = acts.sparsity(),
+                                  .grads = out_grads.sparsity()});
     }
 
     Shape out_shape{gs.c, as.c, kernel_h, kernel_w};

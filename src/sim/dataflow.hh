@@ -85,6 +85,28 @@ enum class FwdSide { Activations, Weights, Auto };
 /** Which operand the B side carries for GA = GO (*) W'. */
 enum class BwdDataSide { Gradients, Weights, Auto };
 
+/** Zero fractions of one layer's operands, as Tensor::sparsity()
+ * measures them. */
+struct OperandSparsity
+{
+    double acts = 0.0;
+    double weights = 0.0;
+    double grads = 0.0;
+};
+
+/**
+ * The one Auto side rule: schedule the sparser of the op's two
+ * operands (the paper's policy, section 2).  A tie keeps the
+ * paper-default side for AxW and AxG and the gradients for WxG.  A
+ * fixed policy is returned unchanged.  The Dataflow entry points
+ * resolve Auto from their tensors' sparsity(); the simulator resolves
+ * it from the nonzero counts synthesis took, which give the same
+ * fractions bit for bit.
+ */
+FwdSide resolveSide(FwdSide side, const OperandSparsity &sparsity);
+BwdDataSide resolveSide(BwdDataSide side, const OperandSparsity &sparsity);
+WgSide resolveSide(WgSide side, const OperandSparsity &sparsity);
+
 /** Dataflow/sampling configuration. */
 struct DataflowConfig
 {
@@ -101,7 +123,12 @@ struct DataflowConfig
     /** Seed for the job sampler. */
     uint64_t seed = 1;
 
-    /** Keep operand values (functional mode) or just masks. */
+    /**
+     * Keep operand values (functional mode) or just masks.  Mask mode
+     * gathers only the scheduled B side: each job's A side is one
+     * empty placeholder stream per column, since the tile reads
+     * nothing of it but the column count.
+     */
     bool with_values = false;
 };
 

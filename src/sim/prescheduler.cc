@@ -62,7 +62,7 @@ PreScheduler::schedule(const BlockStream &dense) const
                 continue;
             const MoveOption &opt = pattern_->options(lane)[idx];
             row.values[lane] = dense.value(base + opt.step, opt.lane);
-            row.idx[lane] = (int8_t)idx;
+            row.idx[lane] = sched.select[lane];
             window.consume(opt.step, opt.lane);
         }
         row.advance = (int8_t)window.advance();

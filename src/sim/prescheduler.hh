@@ -31,8 +31,11 @@ struct ScheduledStream
     struct Row
     {
         std::array<float, 32> values{};
-        /** Movement per lane (option index), -1 = lane empty. */
-        std::array<int8_t, 32> idx;
+        /** Movement per lane (option index), -1 = lane empty.  As
+         * wide as Schedule::select: a deep 32-lane crossbar indexes
+         * past 127.  packedBytes() prices the stored field, not this
+         * in-memory one. */
+        std::array<int16_t, 32> idx;
         /** Rows of the dense stream retired by this step (AS). */
         int8_t advance = 0;
         int picks = 0;

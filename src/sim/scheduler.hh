@@ -15,7 +15,10 @@
  * priority encoders decide independently, then AND-gates strip the chosen
  * bits from Z before it reaches the next level.  The whole block is
  * combinational and completes in one cycle.  This model reproduces that
- * behaviour exactly (levels come from MuxPattern::levels()).
+ * behaviour exactly (levels come from MuxPattern::levels()), and like the
+ * hardware it resolves a level's lanes together: per movement option, a
+ * level's open lanes test their targets with one rotate-and-AND of that
+ * step's mask and leave the window with one rotate-and-ANDNOT.
  */
 
 #include <array>
@@ -30,8 +33,10 @@ namespace tensordash {
 /** Selection produced for one cycle. */
 struct Schedule
 {
-    /** Option index per lane (into MuxPattern::options), -1 = lane idle. */
-    std::array<int8_t, 32> select;
+    /** Option index per lane (into MuxPattern::options), -1 = lane
+     * idle.  Sixteen bits wide: a 32-lane crossbar offers 32 options
+     * per window step, so depths of 5 and more index past 127. */
+    std::array<int16_t, 32> select;
 
     /** Number of pairs consumed this cycle. */
     int picks = 0;
@@ -43,10 +48,10 @@ class HierarchicalScheduler
   public:
     /**
      * @param pattern interconnect whose options/levels drive selection.
-     * Construction flattens the level-major lane walk into one
-     * contiguous program (precomputed target bits and per-lane
-     * step-reach masks) — schedule() is the simulator's hottest loop,
-     * and one scheduler serves millions of cycles.
+     * Construction turns the levels into lane masks and the movement
+     * list into (step, rotation) pairs, so one level resolves a move
+     * for all its lanes with a rotate and an AND.  One scheduler
+     * serves millions of cycles.
      */
     explicit HierarchicalScheduler(const MuxPattern &pattern);
 
@@ -62,6 +67,18 @@ class HierarchicalScheduler
     Schedule schedule(const uint32_t *pending, int valid) const;
 
     /**
+     * Schedule one cycle and clear its picks from the window in
+     * place: after the call @p pending holds what schedule() would
+     * leave pending once every selected pair is consumed.
+     *
+     * @param pending effectual-pair masks, one per window step
+     * @param valid   number of valid window steps (only these are
+     *                read or written)
+     * @return number of pairs consumed
+     */
+    int consume(uint32_t *pending, int valid) const;
+
+    /**
      * Run one full PE cycle against a staging window: schedule, consume
      * the picked pairs, then retire fully-consumed rows.
      *
@@ -73,30 +90,38 @@ class HierarchicalScheduler
     int step(StagingWindow &window, Schedule *out = nullptr) const;
 
   private:
-    /** One flattened movement option: the target position as a
-     * precomputed lane bit plus its window step. */
-    struct FlatOption
+    /** One relative movement: its window step, its lane delta as a
+     * right rotation of the step's mask onto the reading lanes, and
+     * its index in the priority order. */
+    struct Move
     {
-        uint32_t bit;
-        int32_t step;
+        int step;
+        int rotation;
+        int index;
     };
 
-    /** One lane's slice of the flattened program, in level-major
-     * order.  `reach` has bit s set when any option reads window step
-     * s: a lane whose reachable steps are all empty is skipped with
-     * one AND instead of walking its options. */
-    struct FlatLane
-    {
-        int32_t lane;
-        int32_t first;
-        int32_t count;
-        uint32_t reach;
-    };
+    /**
+     * The one scheduling core: resolve the levels in order over the
+     * window @p z, clearing picked bits in place.  With kSelect it
+     * also records each picking lane's option index in @p select.
+     *
+     * @return number of pairs picked
+     */
+    template <bool kSelect>
+    int resolve(uint32_t *z, int valid, int16_t *select) const;
 
     const MuxPattern *pattern_;
-    std::vector<FlatLane> flat_lanes_;
-    std::vector<FlatOption> flat_options_;
-    bool dense_first_ = false; ///< moves()[0] is the dense position
+    std::vector<uint32_t> level_lanes_; ///< lane mask per level
+    /** The moves a window of v valid steps can reach (step < v), in
+     * priority order, at [v - 1]: steps past the window are never
+     * read. */
+    std::vector<std::vector<Move>> window_moves_;
+    /** Option index into pattern.options(lane) of move m for lane l,
+     * at [m * lanes + l]. */
+    std::vector<int16_t> option_of_;
+    /** moves()[0] is the dense position and no other move reads step
+     * 0, so each lane's pending step-0 bit is its pick. */
+    bool dense_first_ = false;
 };
 
 /**

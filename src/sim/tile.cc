@@ -28,8 +28,12 @@ Tile::run(const TileJob &job, TileStats &stats,
     int steps = job.steps();
     for (const auto &s : job.b)
         TD_ASSERT(s.rows() == steps, "B stream length mismatch");
+    // The A side never reaches the scheduler: a performance run reads
+    // only how many columns there are, so its streams may be empty
+    // placeholders.
     for (const auto &s : job.a)
-        TD_ASSERT(s.rows() == steps, "A stream length mismatch");
+        TD_ASSERT(s.rows() == steps || (!outputs && s.rows() == 0),
+                  "A stream length mismatch");
 
     stats.dense_cycles += steps;
     stats.b_rows_fetched += (uint64_t)nrows * steps;
@@ -61,7 +65,6 @@ Tile::run(const TileJob &job, TileStats &stats,
     int base = 0;
 
     uint64_t cycles = 0;
-    Schedule sched;
     while (base < steps) {
         ++cycles;
         int valid = std::min(depth, steps - base);
@@ -70,23 +73,20 @@ Tile::run(const TileJob &job, TileStats &stats,
         int advance = valid;
         for (int r = 0; r < nrows; ++r) {
             uint32_t *p = win + (size_t)r * steps;
-            sched = scheduler_.schedule(p, valid);
-            total_picks += sched.picks;
-            stats.mult_ops += (uint64_t)sched.picks * ncols;
-            stats.idle_mult_slots +=
-                (uint64_t)(config_.lanes - sched.picks) * ncols;
-            // The pick-count gate skips the whole lane walk when a
-            // drained (or unreachable) window selected nothing, so
-            // high-sparsity stretches stop paying for `lanes`
-            // idle-select checks every cycle.
-            for (int lane = 0; sched.picks > 0 && lane < config_.lanes;
-                 ++lane) {
-                int idx = sched.select[lane];
-                if (idx < 0)
-                    continue;
-                const MoveOption &opt = pattern_.options(lane)[idx];
-                p[opt.step] &= ~(1u << opt.lane);
-                if (outputs) {
+            int picks;
+            if (!outputs) {
+                picks = scheduler_.consume(p, valid);
+            } else {
+                // The functional path walks the selections to move
+                // each picked pair's A-side values in tandem.
+                Schedule sched = scheduler_.schedule(p, valid);
+                picks = sched.picks;
+                for (int lane = 0; lane < config_.lanes; ++lane) {
+                    int idx = sched.select[lane];
+                    if (idx < 0)
+                        continue;
+                    const MoveOption &opt = pattern_.options(lane)[idx];
+                    p[opt.step] &= ~(1u << opt.lane);
                     int row_abs = base + opt.step;
                     float bv = job.b[r].value(row_abs, opt.lane);
                     for (int c = 0; c < ncols; ++c) {
@@ -96,6 +96,10 @@ Tile::run(const TileJob &job, TileStats &stats,
                     }
                 }
             }
+            total_picks += picks;
+            stats.mult_ops += (uint64_t)picks * ncols;
+            stats.idle_mult_slots +=
+                (uint64_t)(config_.lanes - picks) * ncols;
             // AS for this row: leading fully consumed window rows.
             // (The early-exit scan measured faster than building an
             // occupancy bitmask for a count-trailing-zeros pass: it

@@ -53,6 +53,9 @@ struct TileConfig
 /**
  * One unit of tile work: up to `rows` B streams and `cols` A streams of
  * equal length; PE(r, c) accumulates dot(B_r, A_c) over the whole job.
+ * Only B masks reach the scheduler, so a performance run (no outputs)
+ * reads nothing of the A side but its column count: its A streams may
+ * be empty placeholders, as mask-mode lowering emits them.
  */
 struct TileJob
 {
@@ -99,7 +102,9 @@ class Tile
     /**
      * Simulate one job.
      *
-     * @param job     operand streams (validated against the config)
+     * @param job     operand streams (validated against the config;
+     *                without @p outputs, an A stream may be an empty
+     *                placeholder)
      * @param stats   accumulated activity counters (unweighted)
      * @param outputs optional functional accumulators, indexed
      *                [row][col]; requires value-mode streams

@@ -109,9 +109,15 @@ Tensor::dropout(Rng &rng, float p)
 double
 Tensor::sparsity() const
 {
-    if (data_.empty())
+    return sparsityOf(nonzeros(), data_.size());
+}
+
+double
+Tensor::sparsityOf(size_t nonzeros, size_t size)
+{
+    if (size == 0)
         return 0.0;
-    return 1.0 - (double)nonzeros() / (double)data_.size();
+    return 1.0 - (double)nonzeros / (double)size;
 }
 
 size_t

@@ -118,6 +118,14 @@ class Tensor
     /** @return fraction of elements equal to 0.0f. */
     double sparsity() const;
 
+    /**
+     * The zero fraction of a @p size -element tensor holding
+     * @p nonzeros nonzeros (0 when empty): sparsity()'s own
+     * expression, so a count taken once yields the same fraction bit
+     * for bit.
+     */
+    static double sparsityOf(size_t nonzeros, size_t size);
+
     /** @return number of non-zero elements. */
     size_t nonzeros() const;
 

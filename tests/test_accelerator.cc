@@ -213,16 +213,17 @@ TEST(Accelerator, TileCountDividesCycles)
     // half under the flipped config is runConvOp() under it, bit for
     // bit.
     const double out_sparsity = 0.3;
+    const LayerNonzeros nz = LayerNonzeros::count(t.acts, t.weights, t.go);
     for (TrainOp op : {TrainOp::Forward, TrainOp::BackwardData,
                        TrainOp::BackwardWeights}) {
-        const std::vector<uint8_t> base =
-            arrayBytes(a1.runArray(op, t.acts, t.weights, t.go, t.spec));
+        const std::vector<uint8_t> base = arrayBytes(
+            a1.runArray(op, t.acts, t.weights, t.go, t.spec, nz));
         for (const ConfigFlip &flip : finishingFlips()) {
             AcceleratorConfig cfg = one;
             flip.second(cfg);
             Accelerator accel(cfg);
             ArrayRun run =
-                accel.runArray(op, t.acts, t.weights, t.go, t.spec);
+                accel.runArray(op, t.acts, t.weights, t.go, t.spec, nz);
             EXPECT_EQ(arrayBytes(run), base)
                 << flip.first << " op " << (int)op;
             EXPECT_EQ(opBytes(accel.finishOp(run, out_sparsity)),
@@ -234,7 +235,7 @@ TEST(Accelerator, TileCountDividesCycles)
     }
     // runArray() returns the cycle sums before the tile division.
     ArrayRun fwd = a4.runArray(TrainOp::Forward, t.acts, t.weights, t.go,
-                               t.spec);
+                               t.spec, nz);
     EXPECT_EQ(fwd.result.td_cycles / 4, r4.td_cycles);
 }
 
@@ -280,6 +281,115 @@ TEST(Accelerator, ArrayConfigKeysEveryArrayField)
         flip.second(cfg);
         EXPECT_NE(cfg.fingerprint(), base.fingerprint()) << flip.first;
         EXPECT_EQ(cfg.arrayConfig().fingerprint(), fp) << flip.first;
+    }
+}
+
+/**
+ * The array run the parent design made by scanning: lower through
+ * Dataflow's tensor entry points (which resolve Auto sides from
+ * sparsity()), run the jobs on one tile and count the operands.
+ */
+ArrayRun
+scanningArrayRun(const AcceleratorConfig &config, TrainOp op,
+                 const ConvTensors &t)
+{
+    Dataflow df(config.dataflow(false));
+    int k = t.weights.shape().h;
+    LoweredOp lowered;
+    uint64_t transposed = 0;
+    switch (op) {
+      case TrainOp::Forward:
+        lowered = df.lowerForward(t.acts, t.weights, t.spec,
+                                  config.fwd_side);
+        break;
+      case TrainOp::BackwardData:
+        lowered = df.lowerBackwardData(t.go, t.weights, t.acts.shape(),
+                                       t.spec, config.bwd_data_side);
+        transposed = t.weights.size();
+        break;
+      case TrainOp::BackwardWeights:
+        lowered = df.lowerBackwardWeights(t.go, t.acts, k, k, t.spec,
+                                          config.wg_side);
+        transposed = t.go.size();
+        break;
+    }
+    AcceleratorConfig one = config;
+    one.tiles = 1;
+    OpResult result = Accelerator(one).runOp(lowered);
+    result.activity.cycles = 0.0; // runArray() leaves it to finishOp()
+    const Tensor &in0 = op == TrainOp::Forward ? t.acts : t.go;
+    const Tensor &in1 = op == TrainOp::BackwardWeights ? t.acts
+                                                        : t.weights;
+    return {result,
+            {in0.nonzeros(), in0.size(), in1.nonzeros(), in1.size(),
+             lowered.out_shape.size(), transposed}};
+}
+
+/** Zero every other element of @p t: sparsity exactly 0.5. */
+void
+zeroEveryOther(Tensor &t)
+{
+    t.fill(1.0f);
+    for (size_t i = 0; i < t.size(); i += 2)
+        t[i] = 0.0f;
+}
+
+TEST(Accelerator, CountedArrayRunMatchesScanning)
+{
+    // runArray() fills its traffic and resolves Auto sides from the
+    // nonzero counts it is handed, and must serialize equal to the
+    // scanning path under every side policy.  The tied layer's three
+    // operands are all exactly half zero, so Auto keeps the default
+    // side for AxW and AxG and the gradients for WxG.  Of the skewed
+    // layers, the first makes Auto flip all three ops (sparsest
+    // weights, densest gradients) and the second none.
+    Rng rng(31);
+    std::vector<ConvTensors> layers;
+    layers.push_back(makeLayer(rng, 0.0, 0.0));
+    zeroEveryOther(layers.back().acts);
+    zeroEveryOther(layers.back().weights);
+    zeroEveryOther(layers.back().go);
+    layers.push_back(makeLayer(rng, 0.6, 0.3));
+    layers.back().weights.dropout(rng, 0.8f);
+    layers.push_back(makeLayer(rng, 0.2, 0.7));
+    for (size_t i = 0; i < layers.size(); ++i) {
+        const ConvTensors &t = layers[i];
+        const LayerNonzeros nz =
+            LayerNonzeros::count(t.acts, t.weights, t.go);
+        EXPECT_EQ(nz.acts, t.acts.nonzeros());
+        EXPECT_EQ(nz.weights, t.weights.nonzeros());
+        EXPECT_EQ(nz.grads, t.go.nonzeros());
+        for (int side = 0; side < 3; ++side) {
+            AcceleratorConfig cfg = smallConfig();
+            cfg.fwd_side = (FwdSide)side;
+            cfg.bwd_data_side = (BwdDataSide)side;
+            cfg.wg_side = (WgSide)side;
+            Accelerator accel(cfg);
+            for (TrainOp op : {TrainOp::Forward, TrainOp::BackwardData,
+                               TrainOp::BackwardWeights}) {
+                EXPECT_EQ(arrayBytes(accel.runArray(op, t.acts, t.weights,
+                                                    t.go, t.spec, nz)),
+                          arrayBytes(scanningArrayRun(cfg, op, t)))
+                    << "layer " << i << " side " << side << " op "
+                    << (int)op;
+            }
+        }
+    }
+    // The ties resolve to the default sides.
+    const ConvTensors &tied = layers[0];
+    AcceleratorConfig autos = smallConfig();
+    autos.fwd_side = FwdSide::Auto;
+    autos.bwd_data_side = BwdDataSide::Auto;
+    autos.wg_side = WgSide::Auto;
+    AcceleratorConfig defaults = smallConfig();
+    defaults.fwd_side = FwdSide::Activations;
+    defaults.bwd_data_side = BwdDataSide::Gradients;
+    defaults.wg_side = WgSide::Gradients;
+    for (TrainOp op : {TrainOp::Forward, TrainOp::BackwardData,
+                       TrainOp::BackwardWeights}) {
+        EXPECT_EQ(arrayBytes(scanningArrayRun(autos, op, tied)),
+                  arrayBytes(scanningArrayRun(defaults, op, tied)))
+            << "op " << (int)op;
     }
 }
 

@@ -428,7 +428,19 @@ expectMaskModeMatchesValueMode(const LayerTensors &t, bool fc)
                 for (size_t j = 0; j < m.jobs.size(); ++j) {
                     EXPECT_EQ(m.jobs[j].weight, v.jobs[j].weight);
                     expectMaskMatchesValues(m.jobs[j].b, v.jobs[j].b);
-                    expectMaskMatchesValues(m.jobs[j].a, v.jobs[j].a);
+                    // Mask mode gathers no A side: one empty
+                    // placeholder per column (the ids compared above
+                    // name them), where value mode gathers full rows.
+                    ASSERT_EQ(m.jobs[j].a.size(), v.jobs[j].a.size());
+                    ASSERT_EQ(m.jobs[j].a.size(), m.job_a_ids[j].size());
+                    for (size_t c = 0; c < m.jobs[j].a.size(); ++c) {
+                        const BlockStream &ma = m.jobs[j].a[c];
+                        EXPECT_FALSE(ma.hasValues());
+                        EXPECT_EQ(ma.rows(), 0);
+                        EXPECT_EQ(ma.lanes(), lanes);
+                        EXPECT_TRUE(v.jobs[j].a[c].hasValues());
+                        EXPECT_EQ(v.jobs[j].a[c].rows(), v.steps);
+                    }
                 }
             }
         }
@@ -477,7 +489,8 @@ TEST(Dataflow, MaskModeMatchesValueModeZeros)
     }
 }
 
-/** FNV over every job's ids and every B and A mask row. */
+/** FNV over every job's ids and every B and A mask row (of a
+ * value-mode lowering: mask mode gathers no A masks). */
 uint64_t
 maskFingerprint(const LoweredOp &lowered)
 {
@@ -506,10 +519,13 @@ maskFingerprint(const LoweredOp &lowered)
 TEST(Dataflow, LoweringKnownAnswer)
 {
     // Every mask of AxW, AxG and WxG on synthesized zoo layers at
-    // fig13's lowering config (4x4 tile, 16 lanes, 600k cap, mask
-    // mode), under the default and the flipped side.  The constants
-    // pin the gathers: any change to which operand lands in which
-    // lane of which job moves a fingerprint.
+    // fig13's lowering config (4x4 tile, 16 lanes, 600k cap), under
+    // the default and the flipped side.  The constants pin the
+    // gathers: any change to which operand lands in which lane of
+    // which job moves a fingerprint.  The lowerings keep values so
+    // both sides' masks exist; by MaskModeMatchesValueModeZeros they
+    // are the mask-mode B masks, so the constants are those of mask
+    // mode when it gathered both sides.
     struct Case
     {
         const char *model;
@@ -537,6 +553,7 @@ TEST(Dataflow, LoweringKnownAnswer)
     DataflowConfig cfg;
     cfg.max_sampled_macs = 600000;
     cfg.seed = 7;
+    cfg.with_values = true;
     Dataflow df(cfg);
     for (const Case &c : cases) {
         ModelProfile model = ModelZoo::byName(c.model);

@@ -136,6 +136,29 @@ TEST(PreScheduler, TwoDeepPatternRoundTrips)
     EXPECT_TRUE(streamsEqual(dense, ps.decompress(packed)));
 }
 
+TEST(PreScheduler, DeepCrossbarRoundTripKeepsHighOptionIndex)
+{
+    // On a 32-lane, 8-deep crossbar the lone value at (step 5, lane 3)
+    // is lane 0's option 166, past what 8 bits hold: stored narrow it
+    // read back as an empty lane and decompression dropped the value.
+    MuxPattern pattern(32, 8, InterconnectKind::Crossbar);
+    PreScheduler ps(pattern);
+    BlockStream dense(32, true);
+    std::vector<float> row(32, 0.0f);
+    for (int r = 0; r < 8; ++r) {
+        row[3] = r == 5 ? 7.0f : 0.0f;
+        dense.appendValueRow(row.data());
+    }
+    ScheduledStream packed = ps.schedule(dense);
+    ASSERT_EQ(packed.rows.size(), 1u);
+    EXPECT_EQ(packed.rows[0].picks, 1);
+    EXPECT_EQ(packed.rows[0].idx[0], 166);
+    EXPECT_EQ(packed.rows[0].values[0], 7.0f);
+    BlockStream back = ps.decompress(packed);
+    EXPECT_EQ(back.value(5, 3), 7.0f);
+    EXPECT_TRUE(streamsEqual(dense, back));
+}
+
 TEST(Backside, SamePackingAsFrontSide)
 {
     Rng rng(5);

@@ -169,6 +169,111 @@ TEST(Scheduler, Step0AlwaysFullyConsumed)
     }
 }
 
+/**
+ * The lane-by-lane reference: levels in order, each lane of a level
+ * taking its first pending option in priority order, its pick
+ * stripped from the window before the next lane.  @p pending holds
+ * the consumed window afterwards.
+ */
+Schedule
+laneWalk(const MuxPattern &p, uint32_t *pending, int valid)
+{
+    Schedule out;
+    out.select.fill(-1);
+    for (const auto &level : p.levels()) {
+        for (int lane : level) {
+            const auto &options = p.options(lane);
+            for (size_t i = 0; i < options.size(); ++i) {
+                const MoveOption &o = options[i];
+                if (o.step < valid && (pending[o.step] >> o.lane & 1)) {
+                    pending[o.step] &= ~(1u << o.lane);
+                    out.select[lane] = (int16_t)i;
+                    ++out.picks;
+                    break;
+                }
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Scheduler, LevelsMatchTheLaneWalkOnEveryPattern)
+{
+    // Resolving a level's lanes together is the lane walk because a
+    // level's option sets are disjoint.  Every interconnect, lane
+    // count and depth, at window densities from empty to full and at
+    // every valid-row count: equal selects, picks and consumed
+    // windows, and consume() never touches a step past the window.
+    const InterconnectKind kinds[] = {
+        InterconnectKind::DenseOnly, InterconnectKind::LookaheadOnly,
+        InterconnectKind::Paper, InterconnectKind::Crossbar};
+    Rng rng(2024);
+    for (InterconnectKind kind : kinds) {
+        for (int lanes : {1, 2, 3, 4, 5, 8, 16, 32}) {
+            for (int depth : {1, 2, 3, 4, 8}) {
+                MuxPattern p(lanes, depth, kind);
+                HierarchicalScheduler sched(p);
+                SCOPED_TRACE(testing::Message()
+                             << "kind " << (int)kind << " lanes " << lanes
+                             << " depth " << depth);
+                uint32_t full = lanes == 32 ? 0xffffffffu
+                                            : (1u << lanes) - 1u;
+                for (double density : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+                    for (int trial = 0; trial < 24; ++trial) {
+                        int valid = 1 + trial % depth;
+                        uint32_t window[MuxPattern::kMaxDepth];
+                        for (int s = 0; s < depth; ++s) {
+                            window[s] = 0;
+                            for (int l = 0; l < lanes; ++l)
+                                if (rng.bernoulli((float)density))
+                                    window[s] |= 1u << l;
+                        }
+                        uint32_t walked[MuxPattern::kMaxDepth];
+                        uint32_t consumed[MuxPattern::kMaxDepth];
+                        std::copy_n(window, depth, walked);
+                        std::copy_n(window, depth, consumed);
+                        for (int s = valid; s < depth; ++s)
+                            consumed[s] = ~full; // sentinel
+                        Schedule want = laneWalk(p, walked, valid);
+                        Schedule got = sched.schedule(window, valid);
+                        EXPECT_EQ(got.picks, want.picks);
+                        EXPECT_EQ(got.select, want.select);
+                        EXPECT_EQ(sched.consume(consumed, valid),
+                                  want.picks);
+                        for (int s = 0; s < valid; ++s)
+                            EXPECT_EQ(consumed[s], walked[s]) << s;
+                        for (int s = valid; s < depth; ++s)
+                            EXPECT_EQ(consumed[s], ~full) << s;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Scheduler, DeepCrossbarSelectsDoNotOverflow)
+{
+    // A 32-lane crossbar offers 32 options per step, so at depth 8
+    // the lone pending pair at (step 5, lane 3) is lane 0's option
+    // 166: an 8-bit select wrapped it negative, which read as an idle
+    // lane.
+    MuxPattern p(32, 8, InterconnectKind::Crossbar);
+    HierarchicalScheduler sched(p);
+    uint32_t pending[8] = {0, 0, 0, 0, 0, 1u << 3, 0, 0};
+    Schedule s = sched.schedule(pending, 8);
+    EXPECT_EQ(s.picks, 1);
+    ASSERT_EQ(s.select[0], 166);
+    const MoveOption &o = p.options(0)[s.select[0]];
+    EXPECT_EQ(o.step, 5);
+    EXPECT_EQ(o.lane, 3);
+    auto used = consumedPositions(p, s);
+    ASSERT_EQ(used.size(), 1u);
+    EXPECT_EQ(used[0], std::make_pair(5, 3));
+    EXPECT_EQ(sched.consume(pending, 8), 1);
+    for (uint32_t m : pending)
+        EXPECT_EQ(m, 0u);
+}
+
 /** Property sweep: (sparsity%, seed). */
 class SchedulerProperty : public ::testing::TestWithParam<
     std::tuple<int, int>>

@@ -305,6 +305,9 @@ TEST(SynthCacheTest, SweepHoldsOneLayerPerRunningTask)
             EXPECT_EQ(st->tensors.weights.maxAbsDiff(direct.weights),
                       0.0f);
             EXPECT_EQ(st->tensors.grads.maxAbsDiff(direct.grads), 0.0f);
+            EXPECT_EQ(st->nonzeros.acts, direct.acts.nonzeros());
+            EXPECT_EQ(st->nonzeros.weights, direct.weights.nonzeros());
+            EXPECT_EQ(st->nonzeros.grads, direct.grads.nonzeros());
             EXPECT_EQ(st->act_sparsity, direct.acts.sparsity());
             EXPECT_EQ(st->weight_sparsity, direct.weights.sparsity());
             EXPECT_EQ(st->grad_sparsity, direct.grads.sparsity());

@@ -49,6 +49,10 @@ TEST(Tensor, FillAndSparsity)
     t.at(0, 0, 0, 0) = 0.0f;
     EXPECT_DOUBLE_EQ(t.sparsity(), 0.25);
     EXPECT_EQ(t.nonzeros(), 3u);
+    // A count taken once yields sparsity()'s fraction bit for bit.
+    EXPECT_EQ(Tensor::sparsityOf(t.nonzeros(), t.size()), t.sparsity());
+    EXPECT_EQ(Tensor::sparsityOf(0, 0), Tensor().sparsity());
+    EXPECT_EQ(Tensor::sparsityOf(0, 0), 0.0);
 }
 
 TEST(Tensor, DropoutHitsTargetRate)

@@ -295,6 +295,70 @@ TEST(Tile, RejectsMismatchedStreamLengths)
     setLogThrowMode(false);
 }
 
+TEST(Tile, PlaceholderASideRunsLikeGatheredStreams)
+{
+    // A performance run reads only the A side's column count, so
+    // empty placeholders (what mask-mode lowering emits) give the
+    // gathered streams' cycles and stats; a functional run, which
+    // moves A values, still rejects them.
+    Rng rng(12);
+    TileConfig cfg;
+    Tile tile(cfg);
+    for (double sparsity : {0.0, 0.5, 0.9}) {
+        TileJob job = randomJob(rng, cfg, 24, sparsity, 0.3, false);
+        TileJob placeholders = job;
+        for (BlockStream &a : placeholders.a)
+            a = BlockStream(cfg.lanes);
+        TileStats full, empty;
+        EXPECT_EQ(tile.run(placeholders, empty), tile.run(job, full));
+        EXPECT_EQ(empty.cycles, full.cycles);
+        EXPECT_EQ(empty.mult_ops, full.mult_ops);
+        EXPECT_EQ(empty.idle_mult_slots, full.idle_mult_slots);
+        EXPECT_EQ(empty.stall_cycles, full.stall_cycles);
+        EXPECT_EQ(empty.a_rows_fetched, full.a_rows_fetched);
+    }
+    setLogThrowMode(true);
+    TileJob job = randomJob(rng, cfg, 8, 0.5, 0.0, true);
+    job.a[1] = BlockStream(cfg.lanes, true);
+    std::vector<std::vector<double>> outputs;
+    TileStats stats;
+    EXPECT_THROW(tile.run(job, stats, &outputs), SimError);
+    setLogThrowMode(false);
+}
+
+TEST(Tile, DeepCrossbarPicksFarLookasides)
+{
+    // One pair at (step 5, lane 3) of an 8-step job on a 32-lane,
+    // 8-deep crossbar: lane 0 reaches it as option 166 in the first
+    // cycle, so the job takes one cycle and one multiplication.  An
+    // 8-bit select wrapped that option negative, left the pair
+    // pending and ran 2 cycles with 2 multiplications.
+    TileConfig cfg{.rows = 1, .cols = 1, .lanes = 32, .depth = 8,
+                   .interconnect = InterconnectKind::Crossbar};
+    Tile tile(cfg);
+    std::vector<float> row(32, 0.0f);
+    TileJob values;
+    values.b.emplace_back(32, true);
+    values.a.emplace_back(32, true);
+    TileJob masks;
+    masks.b.emplace_back(32);
+    masks.a.emplace_back(32);
+    for (int step = 0; step < 8; ++step) {
+        row[3] = step == 5 ? 3.0f : 0.0f;
+        values.b[0].appendValueRow(row.data());
+        values.a[0].appendValueRow(row.data());
+        masks.b[0].appendMaskRow(step == 5 ? 1u << 3 : 0u);
+    }
+    TileStats stats;
+    EXPECT_EQ(tile.run(masks, stats), 1u);
+    EXPECT_EQ(stats.mult_ops, 1u);
+    TileStats fstats;
+    std::vector<std::vector<double>> outputs;
+    EXPECT_EQ(tile.run(values, fstats, &outputs), 1u);
+    EXPECT_EQ(fstats.mult_ops, 1u);
+    EXPECT_EQ(outputs[0][0], 9.0);
+}
+
 TEST(Tile, MultOpsScaleWithColumns)
 {
     Rng rng(9);
